@@ -7,7 +7,13 @@ use std::collections::VecDeque;
 use oc_sim::{NodeEvent, Outbox, Protocol};
 use oc_topology::{canonical_father, dist, NodeId};
 
-use crate::{config::Config, message::Msg, search::SearchState, stats::NodeStats};
+use crate::{
+    config::Config,
+    message::Msg,
+    mint::MintState,
+    search::SearchState,
+    stats::{NodeStats, PaperStats, QuorumStats},
+};
 
 /// Timer identities (node-local).
 pub(crate) const TIMER_TOKEN_WAIT: u64 = 1;
@@ -55,6 +61,32 @@ pub(crate) struct Loan {
     pub enquiry_outstanding: bool,
 }
 
+/// A node's rare-path state, boxed so that a node which has never searched
+/// and never run [`crate::Hardening::Quorum`] pays one pointer for it.
+/// Allocated on first write and kept across crashes: the epochs in it are
+/// stable storage.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Rare {
+    /// Recycled search state: keeps the ring bitmask buffers of finished
+    /// searches so starting the next one allocates nothing.
+    pub(crate) search_spare: Option<Box<SearchState>>,
+
+    // ---- hardened-mode state (Hardening::Quorum; see crate::mint) ----
+    /// Highest minted token epoch this node has witnessed — on a token it
+    /// received or a request that gossiped it. Stable storage: fencing
+    /// must survive crashes. Always 0 under `Hardening::None`.
+    pub(crate) epoch_seen: u64,
+    /// Highest mint ballot this node has granted (a Paxos-style promise).
+    /// Stable storage — promise amnesia across a crash would let two
+    /// quorums form for one epoch. Invariant: `epoch_promised >=
+    /// epoch_seen`.
+    pub(crate) epoch_promised: u64,
+    /// In-progress mint ballot (volatile: cleared on crash).
+    pub(crate) mint: Option<MintState>,
+    /// The hardened-mode counters of [`NodeStats`].
+    pub(crate) stats: QuorumStats,
+}
+
 /// One node of the open-cube mutual exclusion algorithm.
 ///
 /// Implements [`Protocol`], so it runs under the deterministic simulator
@@ -96,30 +128,14 @@ pub struct OpenCubeNode {
     // ---- Section 5 state ----
     pub(crate) loan: Option<Loan>,
     pub(crate) search: Option<Box<SearchState>>,
-    /// Recycled search state: keeps the ring bitmask buffers of finished
-    /// searches so starting the next one allocates nothing. Boxed (and
-    /// absent until first used) so idle nodes pay one pointer, not two
-    /// inline `RingSet`s — searches are rare, nodes are 2^24.
-    pub(crate) search_spare: Option<Box<SearchState>>,
     /// Set when the node recovered in a mode that cannot re-join (fault
     /// tolerance disabled): it ignores all input.
     inert: bool,
+    /// Spare search buffers and the hardened-mode state; `None` until
+    /// first written — searches are rare, nodes are 2^24.
+    pub(crate) rare: Option<Box<Rare>>,
 
-    // ---- hardened-mode state (Hardening::Quorum; see crate::mint) ----
-    /// Highest minted token epoch this node has witnessed — on a token it
-    /// received or a request that gossiped it. Stable storage: fencing
-    /// must survive crashes. Always 0 under `Hardening::None`.
-    pub(crate) epoch_seen: u64,
-    /// Highest mint ballot this node has granted (a Paxos-style promise).
-    /// Stable storage — promise amnesia across a crash would let two
-    /// quorums form for one epoch. Invariant: `epoch_promised >=
-    /// epoch_seen`.
-    pub(crate) epoch_promised: u64,
-    /// In-progress mint ballot. Boxed: minting is rare and idle nodes pay
-    /// one pointer.
-    pub(crate) mint: Option<Box<crate::mint::MintState>>,
-
-    stats: NodeStats,
+    stats: PaperStats,
 }
 
 impl OpenCubeNode {
@@ -156,12 +172,9 @@ impl OpenCubeNode {
             local_claim: None,
             loan: None,
             search: None,
-            search_spare: None,
             inert: false,
-            epoch_seen: 0,
-            epoch_promised: 0,
-            mint: None,
-            stats: NodeStats::default(),
+            rare: None,
+            stats: PaperStats::default(),
         }
     }
 
@@ -215,8 +228,8 @@ impl OpenCubeNode {
 
     /// Per-node instrumentation counters.
     #[must_use]
-    pub fn stats(&self) -> &NodeStats {
-        &self.stats
+    pub fn stats(&self) -> NodeStats {
+        NodeStats::from_parts(self.stats, self.rare.as_deref().map(|r| r.stats).unwrap_or_default())
     }
 
     /// The configuration this node runs with.
@@ -258,11 +271,29 @@ impl OpenCubeNode {
             || self.in_cs
             || self.loan.is_some()
             || self.search.is_some()
-            || self.mint.is_some()
+            || self.mint().is_some()
     }
 
-    pub(crate) fn stats_mut(&mut self) -> &mut NodeStats {
+    pub(crate) fn stats_mut(&mut self) -> &mut PaperStats {
         &mut self.stats
+    }
+
+    /// The rare-path state, allocated on first use.
+    pub(crate) fn rare_mut(&mut self) -> &mut Rare {
+        self.rare.get_or_insert_with(Box::default)
+    }
+
+    pub(crate) fn epoch_seen(&self) -> u64 {
+        self.rare.as_deref().map_or(0, |r| r.epoch_seen)
+    }
+
+    pub(crate) fn mint(&self) -> Option<&MintState> {
+        self.rare.as_deref()?.mint.as_ref()
+    }
+
+    /// Clears the running mint ballot, returning it if there was one.
+    pub(crate) fn take_mint(&mut self) -> Option<MintState> {
+        self.rare.as_deref_mut()?.mint.take()
     }
 
     pub(crate) fn fault_tolerant(&self) -> bool {
@@ -314,7 +345,12 @@ impl OpenCubeNode {
     }
 
     fn id_request(&self, seq: u32) -> Msg {
-        Msg::Request { claimant: self.id, source: self.id, source_seq: seq, epoch: self.epoch_seen }
+        Msg::Request {
+            claimant: self.id,
+            source: self.id,
+            source_seq: seq,
+            epoch: self.epoch_seen(),
+        }
     }
 
     // ---- remote request path ----
@@ -348,12 +384,12 @@ impl OpenCubeNode {
                 if self.cfg.mutation != crate::config::Mutation::KeepTokenOnTransit {
                     self.token_here = false;
                 }
-                out.send(claimant, Msg::Token { lender: None, epoch: self.epoch_seen });
+                out.send(claimant, Msg::Token { lender: None, epoch: self.epoch_seen() });
             } else {
                 let father = self.father.expect("a transit node without the token has a father");
                 out.send(
                     father,
-                    Msg::Request { claimant, source, source_seq, epoch: self.epoch_seen },
+                    Msg::Request { claimant, source, source_seq, epoch: self.epoch_seen() },
                 );
             }
             // First half of the b-transformation.
@@ -365,7 +401,7 @@ impl OpenCubeNode {
             if self.token_here {
                 // Temporarily lend the token.
                 self.token_here = false;
-                out.send(claimant, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen });
+                out.send(claimant, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen() });
                 self.start_loan(claimant, source, source_seq, out);
             } else {
                 self.mandator = Some(claimant);
@@ -373,7 +409,12 @@ impl OpenCubeNode {
                 let father = self.father.expect("a proxy node without the token has a father");
                 out.send(
                     father,
-                    Msg::Request { claimant: self.id, source, source_seq, epoch: self.epoch_seen },
+                    Msg::Request {
+                        claimant: self.id,
+                        source,
+                        source_seq,
+                        epoch: self.epoch_seen(),
+                    },
                 );
                 self.arm_token_wait(out);
             }
@@ -404,14 +445,13 @@ impl OpenCubeNode {
     /// return on `token_here`). No-op under `Hardening::None`, where every
     /// epoch is 0.
     pub(crate) fn witness_epoch(&mut self, epoch: u64) {
-        if epoch > self.epoch_seen {
-            self.epoch_seen = epoch;
-            if self.epoch_promised < epoch {
-                self.epoch_promised = epoch;
-            }
-            if self.token_here {
-                self.token_here = false;
-                self.stats.epoch_discards += 1;
+        if epoch > self.epoch_seen() {
+            let voided = std::mem::take(&mut self.token_here);
+            let rare = self.rare_mut();
+            rare.epoch_seen = epoch;
+            rare.epoch_promised = rare.epoch_promised.max(epoch);
+            if voided {
+                rare.stats.epoch_discards += 1;
             }
         }
     }
@@ -430,8 +470,8 @@ impl OpenCubeNode {
         // machinery (token-wait timer, search), which ends at the
         // current-epoch token or a quorum-gated mint.
         self.witness_epoch(epoch);
-        if epoch < self.epoch_seen {
-            self.stats.epoch_discards += 1;
+        if epoch < self.epoch_seen() {
+            self.rare_mut().stats.epoch_discards += 1;
             return;
         }
         self.cancel_token_wait(out);
@@ -469,7 +509,7 @@ impl OpenCubeNode {
                         // lend it to our mandator.
                         self.father = None;
                         self.token_here = false;
-                        out.send(m, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen });
+                        out.send(m, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen() });
                         let (source, seq) =
                             self.current_claim.take().expect("a mandate has claim bookkeeping");
                         self.mandator = None;
@@ -480,7 +520,7 @@ impl OpenCubeNode {
                         // Pass the loaned token along to the mandator.
                         self.father = Some(from);
                         self.token_here = false;
-                        out.send(m, Msg::Token { lender: Some(j), epoch: self.epoch_seen });
+                        out.send(m, Msg::Token { lender: Some(j), epoch: self.epoch_seen() });
                         self.mandator = None;
                         self.current_claim = None;
                         self.asking = false;
@@ -505,7 +545,7 @@ impl OpenCubeNode {
             // Unsolicited loaned token (regeneration race): hand it back so
             // the lender's accounting settles.
             self.token_here = false;
-            out.send(j, Msg::Token { lender: None, epoch: self.epoch_seen });
+            out.send(j, Msg::Token { lender: None, epoch: self.epoch_seen() });
         } else {
             // Unsolicited ownership transfer (regeneration race): accept it
             // — we are now the root.
@@ -525,7 +565,7 @@ impl OpenCubeNode {
         // while we sat in the critical section.
         if self.lender != self.id && self.token_here {
             self.token_here = false;
-            out.send(self.lender, Msg::Token { lender: None, epoch: self.epoch_seen });
+            out.send(self.lender, Msg::Token { lender: None, epoch: self.epoch_seen() });
         }
         self.asking = false;
         self.process_queue(out);
@@ -619,7 +659,7 @@ impl OpenCubeNode {
             }
             Some(m) => {
                 self.token_here = false;
-                out.send(m, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen });
+                out.send(m, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen() });
                 let (source, seq) =
                     self.current_claim.take().expect("a mandate has claim bookkeeping");
                 self.mandator = None;
@@ -666,7 +706,7 @@ impl OpenCubeNode {
     /// suspicion was ill-founded or resolved elsewhere.
     pub(crate) fn abort_search_for_token(&mut self, out: &mut Outbox<Msg>) {
         if let Some(state) = self.search.take() {
-            self.search_spare = Some(state);
+            self.rare_mut().search_spare = Some(state);
             out.cancel_timer(TIMER_SEARCH_PHASE);
         }
     }
@@ -775,7 +815,7 @@ impl Protocol for OpenCubeNode {
         // promise across a crash would let two quorums form for one epoch,
         // and forgetting the witnessed horizon would resurrect fenced
         // tokens.
-        self.mint = None;
+        self.take_mint();
     }
 
     fn on_recover(&mut self, out: &mut Outbox<Msg>) {
@@ -805,19 +845,17 @@ impl Protocol for OpenCubeNode {
             && self.search.is_none()
             && self.mandator.is_none()
             && self.loan.is_none()
-            && self.mint.is_none()
+            && self.mint().is_none()
     }
 
     fn heap_bytes(&self) -> usize {
-        let search_bytes = |s: &Option<Box<SearchState>>| {
-            s.as_deref().map_or(0, |s| {
-                std::mem::size_of::<SearchState>() + s.pending.heap_bytes() + s.retry.heap_bytes()
-            })
-        };
         self.queue.capacity() * std::mem::size_of::<Work>()
-            + search_bytes(&self.search)
-            + search_bytes(&self.search_spare)
-            + self.mint.as_deref().map_or(0, crate::mint::MintState::heap_bytes)
+            + self.search.as_deref().map_or(0, SearchState::heap_bytes)
+            + self.rare.as_deref().map_or(0, |r| {
+                std::mem::size_of::<Rare>()
+                    + r.search_spare.as_deref().map_or(0, SearchState::heap_bytes)
+                    + r.mint.as_ref().map_or(0, MintState::heap_bytes)
+            })
     }
 
     fn token_epoch(&self) -> u64 {
@@ -826,7 +864,7 @@ impl Protocol for OpenCubeNode {
         // receipt, a lower-epoch one is discarded before being held, and
         // higher gossip voids the held token in the same step it advances
         // `epoch_seen`.
-        self.epoch_seen
+        self.epoch_seen()
     }
 
     fn quorum_blocked(&self) -> bool {
@@ -835,11 +873,11 @@ impl Protocol for OpenCubeNode {
         // ballot still within its 2δ window is deliberately NOT counted:
         // excusing it would also excuse a wedged ballot that never
         // retries.
-        self.mint.as_deref().is_some_and(|m| m.parked || m.attempts > 1)
+        self.mint().is_some_and(|m| m.parked || m.attempts > 1)
     }
 
     fn epoch_discards(&self) -> u64 {
-        self.stats.epoch_discards
+        self.rare.as_deref().map_or(0, |r| r.stats.epoch_discards)
     }
 }
 
@@ -890,6 +928,14 @@ mod tests {
             assert_eq!(node.father(), canonical_father(16, node.id()), "node {}", node.id());
         }
         assert_eq!(nodes[8].power(), 3); // node 9
+    }
+
+    /// The per-node footprint E7 reports: the hardened-mode state and
+    /// the spare search buffers share one out-of-line box.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_stays_160_bytes() {
+        assert_eq!(std::mem::size_of::<OpenCubeNode>(), 160);
     }
 
     #[test]

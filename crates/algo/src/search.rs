@@ -48,6 +48,14 @@ pub(crate) struct SearchState {
     pub retry: RingSet,
 }
 
+impl SearchState {
+    /// Heap bytes owned by this state (for `Protocol::heap_bytes`): the
+    /// boxed state itself plus its ring buffers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<SearchState>() + self.pending.heap_bytes() + self.retry.heap_bytes()
+    }
+}
+
 impl OpenCubeNode {
     /// Begins `search_father` at phase `start_d` (clamped to `1..=pmax`).
     /// No-op if a search is already running or fault tolerance is off.
@@ -70,7 +78,8 @@ impl OpenCubeNode {
         let d = start_d.clamp(1, pmax);
         self.stats_mut().searches_started += 1;
         // Reuse the spare state's ring buffers instead of allocating.
-        let mut state = self.search_spare.take().unwrap_or_default();
+        let mut state =
+            self.rare.as_deref_mut().and_then(|r| r.search_spare.take()).unwrap_or_default();
         state.d = d;
         state.start = d;
         self.search = Some(state);
@@ -81,7 +90,7 @@ impl OpenCubeNode {
     /// buffers are reused by the next search.
     fn recycle_search(&mut self) {
         if let Some(state) = self.search.take() {
-            self.search_spare = Some(state);
+            self.rare_mut().search_spare = Some(state);
         }
     }
 
@@ -184,7 +193,7 @@ impl OpenCubeNode {
                 self.current_claim_inner().expect("a mandate has claim bookkeeping");
             let claimant = self.id_inner();
             self.stats_mut().requests_regenerated += 1;
-            let epoch = self.epoch_seen;
+            let epoch = self.epoch_seen();
             out.send(k, Msg::Request { claimant, source, source_seq: seq, epoch });
             self.arm_token_wait(out);
         } else {
@@ -300,7 +309,7 @@ impl OpenCubeNode {
             }
             return;
         }
-        if self.mint.is_some() {
+        if self.mint().is_some() {
             // Mid-mint we believe we are the root (father = nil, so our
             // power reads pmax) but have not earned the position yet.
             // Promising fatherhood now could absorb the searcher into a

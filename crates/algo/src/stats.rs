@@ -53,7 +53,56 @@ pub struct NodeStats {
     pub epoch_discards: u64,
 }
 
+/// The counters of [`NodeStats`] every node keeps inline — the paper
+/// protocol's activity. Field meanings are those of [`NodeStats`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PaperStats {
+    pub transits: u32,
+    pub proxies: u32,
+    pub searches_started: u32,
+    pub search_phases: u32,
+    pub nodes_tested: u32,
+    pub search_restarts: u32,
+    pub tokens_regenerated: u32,
+    pub requests_regenerated: u32,
+    pub enquiries_sent: u32,
+    pub anomalies_sent: u32,
+    pub anomalies_received: u32,
+}
+
+/// The [`crate::Hardening::Quorum`] counters of [`NodeStats`], kept out
+/// of line with the rest of the hardened state so that a
+/// [`crate::Hardening::None`] node does not pay for them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct QuorumStats {
+    pub mint_ballots: u32,
+    pub mints_completed: u32,
+    pub mints_parked: u32,
+    pub epoch_discards: u64,
+}
+
 impl NodeStats {
+    /// Joins a node's inline and out-of-line counters.
+    pub(crate) fn from_parts(paper: PaperStats, quorum: QuorumStats) -> NodeStats {
+        NodeStats {
+            transits: paper.transits,
+            proxies: paper.proxies,
+            searches_started: paper.searches_started,
+            search_phases: paper.search_phases,
+            nodes_tested: paper.nodes_tested,
+            search_restarts: paper.search_restarts,
+            tokens_regenerated: paper.tokens_regenerated,
+            requests_regenerated: paper.requests_regenerated,
+            enquiries_sent: paper.enquiries_sent,
+            anomalies_sent: paper.anomalies_sent,
+            anomalies_received: paper.anomalies_received,
+            mint_ballots: quorum.mint_ballots,
+            mints_completed: quorum.mints_completed,
+            mints_parked: quorum.mints_parked,
+            epoch_discards: quorum.epoch_discards,
+        }
+    }
+
     /// Component-wise sum, for aggregating across nodes.
     #[must_use]
     pub fn merged(self, other: NodeStats) -> NodeStats {

@@ -5,9 +5,7 @@
 //! Crash-free is deliberate: crash handling allocates by design (queue
 //! purges, first-ever search state per node), and the zero-allocation
 //! claim is about the *steady state* between faults, where throughput is
-//! earned. The claim also applies to the serial driver only — the
-//! windowed driver trades replay buffers for parallelism (see the
-//! `oc-sim::windowed` module docs).
+//! earned.
 
 use oc_algo::{Config, OpenCubeNode};
 use oc_sim::{ArrivalSchedule, DelayModel, SimConfig, SimDuration, World};

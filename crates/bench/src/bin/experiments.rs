@@ -381,10 +381,9 @@ fn e6(options: &Options) {
 fn e7(options: &Options) {
     println!("== E7: engine throughput scaling (events/sec, heap vs bucketed queue) ==\n");
     println!(
-        "{:>9} {:>10} {:>11} {:>5} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>14}",
+        "{:>9} {:>10} {:>5} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>14}",
         "N",
         "backend",
-        "driver",
         "rep",
         "requests",
         "events",
@@ -422,10 +421,9 @@ fn e7(options: &Options) {
     let outcome = e7_sweep(&cells, threads);
     for (cell, row) in cells.iter().zip(&outcome.results) {
         println!(
-            "{:>9} {:>10} {:>11} {:>5} {:>10} {:>12} {:>12} {:>10.2} {:>8} {:>10.3} {:>14.0}",
+            "{:>9} {:>10} {:>5} {:>10} {:>12} {:>12} {:>10.2} {:>8} {:>10.3} {:>14.0}",
             row.n,
             format!("{:?}", row.backend).to_lowercase(),
-            oc_bench::driver_label(row.driver),
             cell.seed_index,
             row.requests,
             row.events,
@@ -524,7 +522,7 @@ fn e11(options: &Options) {
                 .map(|r| {
                     (
                         r.n,
-                        format!("{:?}/{:?}", r.backend, r.driver),
+                        format!("{:?}", r.backend),
                         r.requests,
                         r.events,
                         r.messages,

@@ -497,11 +497,7 @@ pub struct E5Row {
     pub post_burst_worst: u64,
 }
 
-fn run_schedule<P: Protocol + Send>(
-    nodes: Vec<P>,
-    schedule: &ArrivalSchedule,
-    seed: u64,
-) -> (f64, u64) {
+fn run_schedule<P: Protocol>(nodes: Vec<P>, schedule: &ArrivalSchedule, seed: u64) -> (f64, u64) {
     let mut world = World::new(sim_config(seed), nodes);
     world.schedule_workload(schedule);
     assert!(world.run_to_quiescence(), "E5 run wedged");
@@ -513,7 +509,7 @@ fn run_schedule<P: Protocol + Send>(
 /// Burst: every node requests in the same tick, then — once the burst has
 /// bent the structure into its worst reachable shape — each node issues
 /// one more request sequentially and we record the costliest one.
-fn run_burst<P: Protocol + Send>(nodes: Vec<P>, n: usize, seed: u64) -> (f64, u64) {
+fn run_burst<P: Protocol>(nodes: Vec<P>, n: usize, seed: u64) -> (f64, u64) {
     let mut world = World::new(sim_config(seed), nodes);
     for raw in 1..=n as u32 {
         world.schedule_request(SimTime::ZERO, NodeId::new(raw));
@@ -533,7 +529,7 @@ fn run_burst<P: Protocol + Send>(nodes: Vec<P>, n: usize, seed: u64) -> (f64, u6
     (burst_avg, worst)
 }
 
-fn run_sequential<P: Protocol + Send>(
+fn run_sequential<P: Protocol>(
     mut make: impl FnMut() -> Vec<P>,
     n: usize,
     seed: u64,
@@ -562,7 +558,7 @@ fn run_sequential<P: Protocol + Send>(
 /// concurrent and hotspot schedules are rebuilt from `seed` alone, so
 /// every algorithm at one `(n, seed)` faces byte-identical workloads no
 /// matter which sweep cell (or thread) it runs in.
-fn e5_measure<P: Protocol + Send>(
+fn e5_measure<P: Protocol>(
     make: impl Fn() -> Vec<P>,
     n: usize,
     seed: u64,
@@ -673,8 +669,6 @@ pub struct E7Row {
     pub n: usize,
     /// Which event-queue backend ran the simulation.
     pub backend: QueueBackend,
-    /// Which event-loop driver ran the simulation.
-    pub driver: Driver,
     /// The cell's derived RNG seed (recorded so a row can be replayed).
     pub seed: u64,
     /// Requests injected (all served — asserted).
@@ -699,17 +693,20 @@ pub struct E7Row {
 /// n=65536 on both queue backends. Virtual-time results are identical
 /// across backends (the determinism tests pin that); only the wall clock
 /// may differ.
+///
+/// `_driver` selects nothing: the simulator has one event loop. The
+/// parameter is kept only so the benchmark package, which passes
+/// [`Driver::Serial`], keeps compiling.
 #[must_use]
 pub fn e7_throughput(
     n: usize,
     requests: usize,
     seed: u64,
     backend: QueueBackend,
-    driver: Driver,
+    _driver: Driver,
 ) -> E7Row {
     let mut config = sim_config(seed);
     config.queue = backend;
-    config.driver = driver;
     let mut rng = StdRng::seed_from_u64(seed);
     let schedule = ArrivalSchedule::uniform(&mut rng, n, requests, SimDuration::from_ticks(25));
     let mut world = World::new(config, OpenCubeNode::build_all(plain_cfg(n)));
@@ -724,7 +721,6 @@ pub fn e7_throughput(
     E7Row {
         n,
         backend,
-        driver,
         seed,
         requests: world.requests_injected(),
         events,
@@ -905,8 +901,6 @@ pub struct E7Cell {
     pub requests: usize,
     /// Event-queue backend under test.
     pub backend: QueueBackend,
-    /// Event-loop driver under test.
-    pub driver: Driver,
     /// Which independent repetition of this size (0-based).
     pub seed_index: usize,
     /// Derived RNG seed for this cell.
@@ -914,10 +908,7 @@ pub struct E7Cell {
 }
 
 /// Expands an E7 scaling plan — `(n, requests, independent seeds)` — into
-/// cells over both queue backends, plus one windowed-driver cell per plan
-/// entry (bucketed queue, two reaction workers, seed 0 — the same seed as
-/// the serial bucketed cell, so the pair doubles as an end-to-end
-/// cross-driver determinism check on real workloads).
+/// cells over both queue backends.
 #[must_use]
 pub fn e7_cells(plan: &[(usize, usize, usize)], master: u64) -> Vec<E7Cell> {
     let mut cells = Vec::new();
@@ -925,24 +916,9 @@ pub fn e7_cells(plan: &[(usize, usize, usize)], master: u64) -> Vec<E7Cell> {
         for seed_index in 0..seeds {
             for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
                 let seed = derive_seed(master, stream_id(S_E7, n as u64, seed_index as u64));
-                cells.push(E7Cell {
-                    n,
-                    requests,
-                    backend,
-                    driver: Driver::Serial,
-                    seed_index,
-                    seed,
-                });
+                cells.push(E7Cell { n, requests, backend, seed_index, seed });
             }
         }
-        cells.push(E7Cell {
-            n,
-            requests,
-            backend: QueueBackend::Bucketed,
-            driver: Driver::Windowed { threads: 2 },
-            seed_index: 0,
-            seed: derive_seed(master, stream_id(S_E7, n as u64, 0)),
-        });
     }
     cells
 }
@@ -954,7 +930,7 @@ pub fn e7_cells(plan: &[(usize, usize, usize)], master: u64) -> Vec<E7Cell> {
 #[must_use]
 pub fn e7_sweep(cells: &[E7Cell], threads: usize) -> SweepOutcome<E7Row> {
     sweep::sweep(cells, threads, |_, cell| {
-        e7_throughput(cell.n, cell.requests, cell.seed, cell.backend, cell.driver)
+        e7_throughput(cell.n, cell.requests, cell.seed, cell.backend, Driver::Serial)
     })
 }
 
@@ -1113,15 +1089,6 @@ impl E6Row {
     }
 }
 
-/// Renders a [`Driver`] for tables and JSON: `serial` or `windowed:k`.
-#[must_use]
-pub fn driver_label(driver: Driver) -> String {
-    match driver {
-        Driver::Serial => "serial".to_string(),
-        Driver::Windowed { threads } => format!("windowed:{}", threads.max(1)),
-    }
-}
-
 impl E7Row {
     /// Serializes the row for `BENCH_E7.json`.
     #[must_use]
@@ -1129,7 +1096,9 @@ impl E7Row {
         Value::Obj(vec![
             ("n", Value::UInt(self.n as u64)),
             ("backend", Value::str(format!("{:?}", self.backend).to_lowercase())),
-            ("driver", Value::str(driver_label(self.driver))),
+            // Constant since the simulator has one event loop; kept so
+            // rows stay byte-identical and keyed as before.
+            ("driver", Value::str("serial")),
             ("seed", Value::UInt(self.seed)),
             ("requests", Value::UInt(self.requests)),
             ("events", Value::UInt(self.events)),
@@ -1241,16 +1210,11 @@ mod tests {
     fn e7_backends_agree_on_virtual_results() {
         let heap = e7_throughput(64, 128, 1, QueueBackend::Heap, Driver::Serial);
         let bucketed = e7_throughput(64, 128, 1, QueueBackend::Bucketed, Driver::Serial);
-        let windowed =
-            e7_throughput(64, 128, 1, QueueBackend::Bucketed, Driver::Windowed { threads: 2 });
         assert_eq!(heap.requests, 128);
         assert_eq!(heap.events, bucketed.events);
         assert_eq!(heap.messages, bucketed.messages);
-        assert_eq!(windowed.events, bucketed.events);
-        assert_eq!(windowed.messages, bucketed.messages);
         assert!(bucketed.events_per_sec > 0.0);
         assert!(bucketed.mem_bytes_per_node > 0);
-        assert_eq!(windowed.mem_bytes_per_node, bucketed.mem_bytes_per_node);
     }
 
     #[test]
@@ -1311,18 +1275,13 @@ mod tests {
     #[test]
     fn e7_cells_expand_the_scaling_plan() {
         let cells = e7_cells(&[(64, 128, 2), (128, 64, 1)], 42);
-        // Per entry: seeds × 2 serial backends + 1 windowed cell.
-        assert_eq!(cells.len(), 5 + 3);
+        // Per entry: seeds × 2 backends.
+        assert_eq!(cells.len(), 4 + 2);
         // Heap/bucketed pairs share the seed, so their virtual results
         // must agree.
         assert_eq!(cells[0].seed, cells[1].seed);
         assert_ne!(cells[0].seed, cells[2].seed);
-        // The windowed cell reuses seed 0 of its entry: together with the
-        // serial bucketed cell it pins cross-driver determinism.
-        assert_eq!(cells[4].driver, Driver::Windowed { threads: 2 });
-        assert_eq!(cells[4].seed, cells[1].seed);
-        assert_eq!(cells[4].backend, QueueBackend::Bucketed);
-        assert_ne!(cells[0].seed, cells[5].seed);
+        assert_ne!(cells[0].seed, cells[4].seed);
     }
 
     #[test]
@@ -1338,7 +1297,6 @@ mod tests {
         assert!(text.contains("\"msgs_per_request\""));
         assert!(text.contains("\"mem_bytes_per_node\""));
         assert!(text.contains("\"driver\":\"serial\""));
-        assert!(text.contains("\"driver\":\"windowed:2\""));
         assert!(text.contains("\"parallel_speedup\""));
 
         let e1 = e1_sweep(&[8], 1, 42, 1);

@@ -179,7 +179,7 @@ pub fn run_scenario_hardened(
             // scenarios that exercise the search/regeneration machinery.
             let mut stats = NodeStats::default();
             for k in 0..world.len() {
-                stats = stats.merged(*world.node(NodeId::new(k as u32 + 1)).stats());
+                stats = stats.merged(world.node(NodeId::new(k as u32 + 1)).stats());
             }
             coverage.search_restarts = u64::from(stats.search_restarts);
             coverage.regenerations = u64::from(stats.tokens_regenerated);
@@ -204,7 +204,7 @@ pub fn run_scenario_hardened(
 #[must_use]
 pub fn run_scenario_with<P, F>(scenario: &Scenario, build: F) -> Outcome
 where
-    P: Protocol + Send,
+    P: Protocol,
     F: FnOnce(&Scenario) -> Vec<P>,
 {
     run_scenario_observed(scenario, build, |_, _| {})
@@ -219,7 +219,7 @@ where
 #[must_use]
 pub fn run_scenario_observed<P, F, O>(scenario: &Scenario, build: F, observe: O) -> Outcome
 where
-    P: Protocol + Send,
+    P: Protocol,
     F: FnOnce(&Scenario) -> Vec<P>,
     O: FnOnce(&World<P>, &mut CoverageStats),
 {

@@ -36,17 +36,6 @@ impl DelayModel {
         }
     }
 
-    /// The minimum delay this model can produce — the lookahead bound a
-    /// conservative windowed driver is allowed to exploit: no send made at
-    /// time `t` can be delivered before `t + min_delay()`.
-    #[must_use]
-    pub fn min_delay(&self) -> SimDuration {
-        match *self {
-            DelayModel::Constant(d) => d,
-            DelayModel::Uniform { min, .. } => min,
-        }
-    }
-
     /// Samples one message delay.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         match *self {

@@ -25,7 +25,6 @@
 
 mod outbox;
 mod time;
-mod windowed;
 
 pub mod channel;
 pub mod crash;

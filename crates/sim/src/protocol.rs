@@ -87,7 +87,7 @@ pub trait MessageKind {
 /// deterministic simulator, the threaded runtime, and scripted unit tests.
 pub trait Protocol {
     /// The protocol's wire message type.
-    type Msg: Clone + fmt::Debug + MessageKind + Send + Sync + 'static;
+    type Msg: Clone + fmt::Debug + MessageKind + Send + 'static;
 
     /// This node's identity.
     fn id(&self) -> NodeId;

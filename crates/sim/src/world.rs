@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{
     channel::{CompiledScript, DelayModel, FaultScript, LinkFate, LinkFaults},
@@ -56,29 +55,21 @@ pub struct SimConfig {
     /// [`FaultScript::none`] by default: nothing injected, no extra RNG
     /// draws, so traces of unscripted configurations are byte-identical.
     pub script: FaultScript,
-    /// Which event-loop driver executes the run. [`Driver::Serial`] is the
-    /// reference; [`Driver::Windowed`] processes conservative same-horizon
-    /// event windows with protocol reactions computed on worker threads.
-    /// Both produce byte-identical traces (see `crate::windowed`).
+    /// The event-loop driver. There is only one ([`Driver::Serial`]);
+    /// the field is kept so existing `SimConfig` literals, among them the
+    /// benchmark package's, keep compiling. There is nothing to select.
     pub driver: Driver,
 }
 
-/// Event-loop driver selection for [`SimConfig`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The simulator's event-loop driver: one event at a time on the calling
+/// thread. A one-variant enum, kept only so code naming `Driver::Serial`
+/// (the benchmark package, the `"driver"` column of `BENCH_E7.json`)
+/// keeps compiling; there is nothing to select.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Driver {
-    /// One event at a time on the calling thread — the reference driver.
+    /// One event at a time on the calling thread.
     #[default]
     Serial,
-    /// Conservative window-based parallel driver: batches every event below
-    /// the safe horizon (`min link delay`, floored at one tick), computes
-    /// the per-node protocol reactions on `threads` workers over disjoint
-    /// node ranges, then applies all side effects serially in canonical
-    /// `(time, seq)` order — so traces, metrics, and RNG draws are
-    /// byte-identical to [`Driver::Serial`] at any thread count.
-    Windowed {
-        /// Worker threads for the reaction phase (floored at 1).
-        threads: usize,
-    },
 }
 
 impl Default for SimConfig {
@@ -99,7 +90,7 @@ impl Default for SimConfig {
 
 /// Internal simulator events.
 #[derive(Debug, Clone)]
-pub(crate) enum SimEvent<M> {
+enum SimEvent<M> {
     Deliver { to: NodeId, from: NodeId, msg: M },
     Timer { node: NodeId, id: u64, generation: u64 },
     RequestCs { node: NodeId },
@@ -115,41 +106,41 @@ pub(crate) enum SimEvent<M> {
 /// mutably while the core executes that node's actions — `Core` is the
 /// simulator's [`ActionSink`].
 #[derive(Debug, Clone)]
-pub(crate) struct Core<M> {
-    pub(crate) config: SimConfig,
+struct Core<M> {
+    config: SimConfig,
     /// `config.script` compiled against the system size (dense membership
     /// tables); consulted on every send while a phase is active.
-    pub(crate) compiled: CompiledScript,
+    compiled: CompiledScript,
     /// Dense per-node state, indexed by `NodeId::zero_based`.
-    pub(crate) alive: Vec<bool>,
-    pub(crate) in_cs: Vec<bool>,
+    alive: Vec<bool>,
+    in_cs: Vec<bool>,
     /// `true` once a node has processed at least one `Recover` event —
     /// read by the liveness oracle's re-join check.
-    pub(crate) recovered: Vec<bool>,
-    pub(crate) timers: TimerTable,
-    pub(crate) pending_request_times: Vec<VecDeque<SimTime>>,
-    pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue<SimEvent<M>>,
-    pub(crate) rng: StdRng,
-    pub(crate) metrics: Metrics,
-    pub(crate) oracle: Oracle,
-    pub(crate) trace: Trace,
-    pub(crate) requests_injected: u64,
+    recovered: Vec<bool>,
+    timers: TimerTable,
+    pending_request_times: Vec<VecDeque<SimTime>>,
+    now: SimTime,
+    queue: EventQueue<SimEvent<M>>,
+    rng: StdRng,
+    metrics: Metrics,
+    oracle: Oracle,
+    trace: Trace,
+    requests_injected: u64,
     /// Tokens currently in flight (Deliver events whose message carries the
     /// token). Maintained incrementally for the census.
-    pub(crate) tokens_in_flight: usize,
+    tokens_in_flight: usize,
     /// Live nodes currently holding the token, maintained incrementally so
     /// the per-event census is O(1) instead of O(n).
-    pub(crate) live_holders: usize,
+    live_holders: usize,
     /// Highest token epoch the substrate has witnessed (held or in
     /// flight). Stays 0 under non-hardened protocols.
-    pub(crate) max_epoch: u64,
+    max_epoch: u64,
     /// Live holders whose token is at `max_epoch`. Equal to `live_holders`
     /// while `max_epoch == 0` (the non-hardened case).
-    pub(crate) holders_at_max: usize,
+    holders_at_max: usize,
     /// In-flight tokens at `max_epoch`. Equal to `tokens_in_flight` while
     /// `max_epoch == 0`.
-    pub(crate) in_flight_at_max: usize,
+    in_flight_at_max: usize,
 }
 
 impl<M> Core<M> {
@@ -298,22 +289,22 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
 /// plan, metrics, the safety oracle, and an optional trace.
 #[derive(Debug)]
 pub struct World<P: Protocol> {
-    pub(crate) nodes: Vec<P>,
+    nodes: Vec<P>,
     /// Cached `alive && holds_token` per node, kept in sync after every
     /// event a node processes; backs the O(1) token census.
-    pub(crate) holds_token: Vec<bool>,
+    holds_token: Vec<bool>,
     /// Cached token epoch per holding node (0 where `holds_token` is
     /// false), so the max-epoch census can retire a holder's contribution
     /// without re-asking the protocol.
-    pub(crate) holder_epochs: Vec<u64>,
+    holder_epochs: Vec<u64>,
     /// Cached [`Protocol::epoch_discards`] per node; the delta after each
     /// event flows into [`Metrics::epoch_discards`] (the discard happens
     /// inside the protocol, invisible to the substrate).
     epoch_discard_cache: Vec<u64>,
     /// Reusable action buffer — drained in place each event, so the hot
     /// path allocates nothing.
-    pub(crate) outbox: Outbox<P::Msg>,
-    pub(crate) core: Core<P::Msg>,
+    outbox: Outbox<P::Msg>,
+    core: Core<P::Msg>,
 }
 
 impl<P: Protocol> World<P> {
@@ -551,29 +542,15 @@ impl<P: Protocol> World<P> {
         self.core.queue.push(at, SimEvent::Recover { node });
     }
 
-    /// Runs until no events remain using the serial reference driver,
-    /// regardless of `SimConfig::driver`. Returns `true` if the queue
-    /// drained, `false` if the `max_events` backstop tripped first.
-    pub fn run_to_quiescence_serial(&mut self) -> bool {
+    /// Runs until no events remain. Returns `true` if the queue drained,
+    /// `false` if the `max_events` backstop tripped first.
+    pub fn run_to_quiescence(&mut self) -> bool {
         while self.core.metrics.events_processed < self.core.config.max_events {
             if !self.step() {
                 return true;
             }
         }
         false
-    }
-
-    /// Runs until no events remain, honouring `SimConfig::driver`.
-    /// Returns `true` if the queue drained, `false` if the `max_events`
-    /// backstop tripped first.
-    pub fn run_to_quiescence(&mut self) -> bool
-    where
-        P: Send,
-    {
-        match self.core.config.driver {
-            Driver::Serial => self.run_to_quiescence_serial(),
-            Driver::Windowed { threads } => self.run_to_quiescence_windowed(threads),
-        }
     }
 
     /// Runs until virtual time would exceed `deadline` (events at exactly
@@ -605,14 +582,6 @@ impl<P: Protocol> World<P> {
         let Some((at, event)) = self.core.queue.pop() else {
             return false;
         };
-        self.process_event(at, event);
-        true
-    }
-
-    /// Processes one already-popped event at its timestamp — the single
-    /// serial execution path shared by [`World::step`] and the windowed
-    /// driver's barrier/small-batch fallbacks.
-    pub(crate) fn process_event(&mut self, at: SimTime, event: SimEvent<P::Msg>) {
         debug_assert!(at >= self.core.now, "event queue went backwards");
         self.core.now = at;
         self.core.metrics.events_processed += 1;
@@ -631,6 +600,7 @@ impl<P: Protocol> World<P> {
         self.core
             .oracle
             .token_census(self.core.now, self.core.holders_at_max + self.core.in_flight_at_max);
+        true
     }
 
     fn handle_deliver(&mut self, to: NodeId, from: NodeId, msg: P::Msg) {
@@ -769,14 +739,6 @@ impl<P: Protocol> World<P> {
         let held = self.core.alive[idx] && self.nodes[idx].holds_token();
         let epoch = if held { self.nodes[idx].token_epoch() } else { 0 };
         let discards = self.nodes[idx].epoch_discards();
-        self.apply_token_sync(idx, held, epoch, discards);
-    }
-
-    /// The cache/census update of [`World::sync_token_cache`] against
-    /// externally observed node state — shared with the windowed driver,
-    /// whose phase A snapshots `(held, epoch, discards)` per event so
-    /// phase B can commit the census in canonical order.
-    pub(crate) fn apply_token_sync(&mut self, idx: usize, held: bool, epoch: u64, discards: u64) {
         if held && epoch > self.core.max_epoch {
             // A mint just happened here: older holders left the at-max
             // count wholesale (bump zeroes it), without touching their

@@ -1,7 +1,7 @@
 //! The engine's determinism contract, pinned end-to-end on the real
 //! open-cube protocol: same config + seed ⇒ byte-identical traces,
-//! whichever event-queue backend runs the simulation. A golden hash
-//! guards the fingerprint across refactors.
+//! whichever event-queue backend runs the simulation. Golden hashes
+//! guard the fingerprints across refactors.
 
 use opencube::algo::{Config, OpenCubeNode};
 use opencube::sim::{
@@ -91,3 +91,45 @@ fn golden_trace_hash() {
 const GOLDEN_HASH: u64 = 17_956_546_835_187_287_862;
 const GOLDEN_EVENTS: u64 = 664;
 const GOLDEN_SENT: u64 = 380;
+
+/// A burst at n = 4096: every node requests in the first tick, so
+/// thousands of same-tick events contend for the queue at once.
+fn burst_run() -> (u64, u64, bool) {
+    const N: usize = 4096;
+    let sim = SimConfig {
+        delay: DelayModel::Uniform {
+            min: SimDuration::from_ticks(1),
+            max: SimDuration::from_ticks(10),
+        },
+        cs_duration: SimDuration::from_ticks(3),
+        seed: 7,
+        record_trace: true,
+        max_events: 50_000_000,
+        ..SimConfig::default()
+    };
+    let cfg = Config::new(N, SimDuration::from_ticks(10), SimDuration::from_ticks(3))
+        .with_contention_slack(SimDuration::from_ticks(200_000));
+    let mut world = World::new(sim, OpenCubeNode::build_all(cfg));
+    for id in NodeId::all(N) {
+        world.schedule_request(SimTime::from_ticks(0), id);
+    }
+    assert!(world.run_to_quiescence(), "burst wedged");
+    (world.trace().hash64(), world.metrics().events_processed, world.oracle_report().is_clean())
+}
+
+/// Golden fingerprint for the burst. If this changes, observable
+/// scheduling behaviour changed — deliberate changes must update the
+/// constant and say so in the commit message.
+#[test]
+fn burst_golden() {
+    let (hash, events, clean) = burst_run();
+    assert!(clean, "burst run violated the oracle");
+    assert_eq!(
+        (hash, events),
+        (BURST_GOLDEN_HASH, BURST_GOLDEN_EVENTS),
+        "burst fingerprint moved: hash={hash} events={events}"
+    );
+}
+
+const BURST_GOLDEN_HASH: u64 = 10_957_471_484_205_330_809;
+const BURST_GOLDEN_EVENTS: u64 = 61_412;
