@@ -6,8 +6,9 @@
 //!
 //! Unlike the simulator's gate this is a *bound*, not zero: the vendored
 //! `crossbeam-channel` is a std-mpsc wrapper that heap-allocates one
-//! node per `send`, and one acquisition crosses at least three channels
-//! (client → worker, worker → watcher, plus occasional router traffic).
+//! node per `send`, and one acquisition crosses at least two channels
+//! (client → worker, worker → watcher; with one worker, messages and
+//! timers stay in the worker's own delay heap).
 //! The budget asserts the batched dispatch path adds nothing beyond
 //! those constitutive sends — no per-event buffers, no per-batch Vec
 //! churn beyond the reused queue, no stats boxing. A regression that
@@ -30,7 +31,7 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Generous ceiling on heap allocations per steady-state acquisition.
 /// The constitutive cost is ~4 channel sends (acquire command, watcher
-/// completion, and slack for timer/router crossings); 16 leaves room
+/// completion, and slack for worker-to-worker crossings); 16 leaves room
 /// for allocator-internal noise while still catching any per-event or
 /// per-message buffer introduced into the dispatch loop.
 const MAX_ALLOCS_PER_ACQUISITION: u64 = 16;

@@ -46,9 +46,9 @@ use crate::json::Value;
 pub const TICK: Duration = Duration::from_micros(20);
 /// Ticks per second at [`TICK`].
 pub const TICKS_PER_SEC: u64 = 50_000;
-/// Protocol δ in ticks (16 × 20µs = 320µs ≥ the router's 200µs bound).
+/// Protocol δ in ticks (16 × 20µs = 320µs ≥ the 200µs network delay bound).
 pub const DELTA_TICKS: u64 = 16;
-/// Router's maximum per-message delay.
+/// Maximum per-message network delay.
 pub const MAX_NET_DELAY: Duration = Duration::from_micros(200);
 /// Critical-section lease, in ticks (500µs).
 pub const CS_TICKS: u64 = 25;
@@ -124,7 +124,7 @@ pub struct LoadCell {
     /// healing well inside the suspicion slack so the service repairs
     /// what the cut destroyed and keeps serving.
     pub partition_cycles: usize,
-    /// RNG seed (workload, churn victims, router delays).
+    /// RNG seed (workload, churn victims, network delays).
     pub seed: u64,
 }
 

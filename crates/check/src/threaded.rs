@@ -76,7 +76,7 @@ pub fn run_scenario_runtime(
         RuntimeConfig {
             workers: profile.workers,
             tick: profile.tick,
-            // The protocol's δ is `delay_max` ticks; the router's delay
+            // The protocol's δ is `delay_max` ticks; the network delay
             // bound maps it exactly.
             max_network_delay: ticks(profile, scenario.delay_max),
             cs_duration: ticks(profile, scenario.cs_ticks),

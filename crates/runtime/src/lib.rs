@@ -4,8 +4,9 @@
 //! crate runs the *same* [`Protocol`] state machines as a real threaded
 //! lock service: `n` nodes multiplexed over a configurable **worker
 //! pool** (not thread-per-node, so `n = 1024` costs 8 threads, not
-//! 1024), plus router threads that model the network (per-message
-//! random delays bounded by δ), the timer service, and CS leases.
+//! 1024). Each worker also models the network for the nodes it owns:
+//! per-message random delays bounded by δ, the timer service, and CS
+//! leases all wait in the worker's own delay heap.
 //! Nothing about the protocol changes — that is the point of the sans-io
 //! design: both substrates execute actions through the same
 //! [`oc_sim::drive`] engine loop.
@@ -18,8 +19,8 @@
 //!   and [`Runtime::acquire_watched`] to block on completions instead of
 //!   sleep-polling statuses;
 //! * **multi-tenant namespaces** ([`Runtime::start_multi`]) — many
-//!   independent lock instances sharing one worker pool and one router
-//!   layer, each judged by its own unmodified `oc_sim` oracle;
+//!   independent lock instances sharing one worker pool, each judged by
+//!   its own unmodified `oc_sim` oracle;
 //! * crash/recovery and message-loss/duplication injection mirroring the
 //!   simulator's `SimConfig`/`LinkFaults` ([`RuntimeFaults`],
 //!   [`Runtime::schedule_failures`]);
@@ -31,23 +32,29 @@
 //!
 //! ## The batched hot path
 //!
-//! Three mechanisms keep the per-acquisition cost flat under load:
+//! Four mechanisms keep the per-acquisition cost flat under load:
 //!
-//! * **Mailbox batching** — routers deliver due commands as one
-//!   [`Mail::Many`] per worker per pass, and workers drain their mailbox
-//!   in `try_recv` bursts (bounded by [`RuntimeConfig::batch`]) after
-//!   each blocking `recv`, so a saturated worker pays one channel
-//!   round-trip per *batch*, not per command.
+//! * **Worker-owned delay heaps** — every network message, timer and CS
+//!   lease waits in one `(deliver_at, seq)` heap owned by its
+//!   destination's worker, which sleeps in `recv_timeout` until its next
+//!   deadline. A send between two nodes of the same worker never crosses
+//!   a channel; a send to another worker's node is one mailbox send
+//!   carrying its `deliver_at`. Client acquires go straight to the
+//!   worker's queue.
+//! * **Mailbox batching** — workers drain their mailbox in `try_recv`
+//!   bursts (bounded by [`RuntimeConfig::batch`]) plus every due heap
+//!   entry, and publish effects once per batch.
 //! * **Worker-local statistics** — pure counters (messages, events,
 //!   losses) accumulate in a [`LocalStats`] and flush to the shared
 //!   atomics once per batch with `Relaxed` ordering; only the
 //!   control-plane atomics that [`Runtime::settled`] reasons about
 //!   (`inflight`, per-namespace `tokens_in_flight`, idle flags) keep
 //!   `SeqCst`.
-//! * **Router sharding** ([`RuntimeConfig::routers`]) — the delay heap
-//!   can be split across several router threads (workers are assigned
-//!   round-robin), removing the single-router bottleneck at high
-//!   namespace counts.
+//! * **Dead timers leave** — a timer holds an in-flight claim only while
+//!   it is armed, so a cancelled or superseded timer never delays
+//!   [`Runtime::settled`]; its heap entry is skipped unprocessed when it
+//!   comes due, and once a worker's heap has doubled since its last
+//!   prune every dead timer entry is removed (amortised O(1) per cancel).
 //!
 //! ## Example
 //!
@@ -118,7 +125,7 @@ pub struct RuntimeConfig {
     /// that the protocol's δ (in ticks) times `tick` exceeds
     /// `max_network_delay`.
     pub tick: Duration,
-    /// Upper bound on the per-message delay the router injects.
+    /// Upper bound on the random per-message network delay.
     pub max_network_delay: Duration,
     /// How long a granted request holds the critical section before the
     /// lease expires (an explicit [`Runtime::release`] ends it earlier;
@@ -134,13 +141,9 @@ pub struct RuntimeConfig {
     /// when this is off). Multi-tenant runs record namespace 0 only.
     pub record_trace: bool,
     /// Largest burst of commands a worker drains from its mailbox before
-    /// publishing effects (idle flags, statistics, in-flight claims).
-    /// `0` means 128. `1` degenerates to the unbatched one-command loop.
+    /// publishing effects (idle flags, statistics, in-flight claims);
+    /// heap entries that are due join the burst on top. `0` means 128.
     pub batch: usize,
-    /// Router threads the delay heap is sharded over (worker `w` is
-    /// served by router `w % routers`). `0` means 1; clamped to the
-    /// worker count.
-    pub routers: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -154,7 +157,6 @@ impl Default for RuntimeConfig {
             faults: RuntimeFaults::none(),
             record_trace: false,
             batch: 0,
-            routers: 0,
         }
     }
 }
@@ -170,11 +172,18 @@ fn ticks_to_wall(tick_nanos: u64, ticks: u64) -> Duration {
     Duration::from_nanos(ticks.saturating_mul(tick_nanos))
 }
 
-/// Timer events travel through the router as `NodeCmd::Timer(packed)`
-/// with the arming's generation packed into the id's high bits; the
-/// owning worker unpacks and checks it against the node's [`TimerRow`]
-/// on receipt. Protocol timer ids stay below `2^GEN_SHIFT`.
+/// Timer events wait in the owning worker's delay heap as
+/// `NodeCmd::Timer(packed)` with the arming's generation packed into the
+/// id's high bits; the worker unpacks and checks it against the node's
+/// [`TimerRow`] when it comes due. Protocol timer ids stay below
+/// `2^GEN_SHIFT`.
 const GEN_SHIFT: u32 = 20;
+const TIMER_ID_MASK: u64 = (1 << GEN_SHIFT) - 1;
+
+/// `true` if the generation-packed timer entry is its node's live arming.
+fn timer_is_live(timers: &TimerRow, packed: u64) -> bool {
+    timers.is_live(packed & TIMER_ID_MASK, packed >> GEN_SHIFT)
+}
 
 /// One command addressed to a node, executed by its owning worker.
 enum NodeCmd<M> {
@@ -192,7 +201,7 @@ enum NodeCmd<M> {
     Crash,
     /// Recovery.
     Recover,
-    /// Worker shutdown (sent directly, never through the router).
+    /// Worker shutdown.
     Stop,
 }
 
@@ -204,17 +213,13 @@ struct Targeted<M> {
     cmd: NodeCmd<M>,
 }
 
-enum RouterMsg<M> {
-    Route { deliver_at: Instant, item: Targeted<M> },
-    Stop,
-}
-
-/// What worker mailboxes carry: single commands (direct client sends,
-/// Stop) or a router's batch of due deliveries — one channel round-trip
-/// for the whole burst.
-enum Mail<M> {
-    One(Targeted<M>),
-    Many(Vec<Targeted<M>>),
+/// What worker mailboxes carry: a command due now (`due: None` — client
+/// sends, Stop) or one that waits in the receiving worker's delay heap
+/// until `due` (messages from another worker's nodes, scheduled arrivals
+/// and failures).
+struct Mail<M> {
+    due: Option<Instant>,
+    item: Targeted<M>,
 }
 
 /// Monitor: the linearization point of one namespace. Every CS
@@ -298,16 +303,22 @@ struct Shared {
     /// Completed critical sections per namespace. `Relaxed`: monotone
     /// statistics, polled by `await_cs_entries` and summed after join.
     cs_entries: Vec<AtomicU64>,
-    /// Commands alive in the system: incremented before anything enters
-    /// a router or a worker mailbox, decremented when a worker finishes
-    /// processing it (or a router discards it at shutdown). Zero means
-    /// nothing is queued and nothing is mid-processing. Workers release
-    /// their claims batch-at-a-time, *after* publishing the batch's idle
-    /// flags — the count stays elevated while effects are pending, which
-    /// is what keeps [`Runtime::settled`] sound.
+    /// Commands alive in the system: one claim per command in a mailbox,
+    /// a delay heap, or mid-processing — except timers, whose claim is
+    /// held by the *arming* (from `set_timer` until it fires, is
+    /// cancelled or superseded, or its node crashes), so a dead timer
+    /// entry holds nothing. Zero means nothing is queued, armed, or
+    /// mid-processing. A claim is taken before a command enters another
+    /// worker's mailbox; a worker settles the claims of its own heap and
+    /// the releases of its batch in one update *after* publishing the
+    /// batch's idle flags — the count stays elevated while effects are
+    /// pending, which is what keeps [`Runtime::settled`] sound. After
+    /// the workers stop nothing reads it.
     inflight: AtomicU64,
     /// Token-carrying messages currently in flight, per namespace — the
-    /// runtime's share of each namespace's live-token census.
+    /// runtime's share of each namespace's live-token census. Counted
+    /// from the send until the delivery is processed, so a token still
+    /// in a heap or mailbox when the workers stop stays in the census.
     tokens_in_flight: Vec<AtomicU64>,
     /// Per-node "has nothing pending" flags, refreshed by the owning
     /// worker after every batch (crashed nodes read as idle — the
@@ -343,29 +354,6 @@ impl Shared {
     }
 }
 
-/// Enqueues `item` (addressed by global node id) for delivery at
-/// `deliver_at`, through the router shard that serves the destination's
-/// worker. Returns `false` (after undoing the in-flight accounting) if
-/// the router is gone — only possible during shutdown.
-fn route<M>(
-    shared: &Shared,
-    routers: &[Sender<RouterMsg<M>>],
-    workers: usize,
-    deliver_at: Instant,
-    to: NodeId,
-    cmd: NodeCmd<M>,
-) -> bool {
-    shared.inflight.fetch_add(1, Ordering::SeqCst);
-    let w = (to.zero_based() as usize) % workers;
-    let router = &routers[w % routers.len()];
-    if router.send(RouterMsg::Route { deliver_at, item: Targeted { to, cmd } }).is_err() {
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        false
-    } else {
-        true
-    }
-}
-
 /// A registered completion stream: every request opened through
 /// [`Runtime::acquire_watched`] with this watcher sends exactly one
 /// `(id, terminal status)` pair here when it completes or is abandoned.
@@ -393,10 +381,8 @@ impl Watcher {
 /// The threaded runtime handle.
 pub struct Runtime<P: Protocol> {
     shared: Arc<Shared>,
-    router_txs: Vec<Sender<RouterMsg<P::Msg>>>,
     worker_txs: Vec<Sender<Mail<P::Msg>>>,
     worker_handles: Vec<JoinHandle<Vec<WorkerFinal<P>>>>,
-    router_handles: Vec<JoinHandle<()>>,
     config: RuntimeConfig,
     n: usize,
 }
@@ -410,7 +396,7 @@ struct WorkerFinal<P> {
 }
 
 impl<P: Protocol + Send + 'static> Runtime<P> {
-    /// Starts the worker pool and the router with a single namespace.
+    /// Starts the worker pool with a single namespace.
     /// `nodes[k]` must have identity `k + 1`.
     ///
     /// # Panics
@@ -439,8 +425,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
 
     /// Starts a **multi-tenant** runtime: `populations[k]` is namespace
     /// `k`, an independent lock instance with its own token, oracle, and
-    /// liveness horizon — all namespaces sharing one worker pool and one
-    /// router layer. Within namespace `k`, `populations[k][j]` must have
+    /// liveness horizon — all namespaces sharing one worker pool. Within namespace `k`, `populations[k][j]` must have
     /// identity `j + 1` (each namespace numbers its nodes from 1, exactly
     /// as a standalone system would).
     ///
@@ -495,10 +480,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         if config.batch == 0 {
             config.batch = 128;
         }
-        config.routers = match config.routers {
-            0 => 1,
-            r => r.min(workers),
-        };
 
         let namespaces = populations.len();
         let shared = Arc::new(Shared {
@@ -531,18 +512,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             worker_rxs.push(rx);
         }
 
-        let mut router_txs = Vec::with_capacity(config.routers);
-        let mut router_handles = Vec::with_capacity(config.routers);
-        for _ in 0..config.routers {
-            let (tx, rx) = unbounded::<RouterMsg<P::Msg>>();
-            let mailboxes = worker_txs.clone();
-            let router_shared = Arc::clone(&shared);
-            router_handles.push(std::thread::spawn(move || {
-                router_main::<P::Msg>(rx, mailboxes, router_shared)
-            }));
-            router_txs.push(tx);
-        }
-
         // Shard the nodes: worker w owns global indices w, w+W, w+2W, …
         // (ascending within each worker, so slot_pos = idx / W).
         let mut sharded: Vec<Vec<Slot<P>>> = (0..workers).map(|_| Vec::new()).collect();
@@ -565,15 +534,15 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         }
 
         let mut worker_handles = Vec::with_capacity(workers);
-        for (slots, rx) in sharded.into_iter().zip(worker_rxs) {
+        for (me, (slots, rx)) in sharded.into_iter().zip(worker_rxs).enumerate() {
             let shared = Arc::clone(&shared);
-            let routers = router_txs.clone();
+            let post = Post::new(me, worker_txs.clone());
             worker_handles.push(std::thread::spawn(move || {
-                worker_main::<P>(slots, rx, routers, shared, config)
+                worker_main::<P>(slots, rx, post, shared, config)
             }));
         }
 
-        Runtime { shared, router_txs, worker_txs, worker_handles, router_handles, config, n }
+        Runtime { shared, worker_txs, worker_handles, config, n }
     }
 
     /// Total number of nodes across all namespaces.
@@ -637,14 +606,15 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         NodeId::new(meta.offset + node.get())
     }
 
-    /// Hands one command straight to the destination's worker mailbox —
-    /// no router hop for work that is due *now* (client acquires and
-    /// releases, immediate crash/recover). Returns `false` (after
-    /// undoing the in-flight claim) if the worker is gone.
-    fn send_direct(&self, to: NodeId, cmd: NodeCmd<P::Msg>) -> bool {
+    /// Hands one command to the destination's worker mailbox, due now
+    /// (`due: None` — client acquires and releases, immediate
+    /// crash/recover) or at `due` (scheduled arrivals and failures).
+    /// Returns `false` (after undoing the in-flight claim) if the worker
+    /// is gone.
+    fn send_to_worker(&self, due: Option<Instant>, to: NodeId, cmd: NodeCmd<P::Msg>) -> bool {
         self.shared.inflight.fetch_add(1, Ordering::SeqCst);
         let w = (to.zero_based() as usize) % self.config.workers;
-        if self.worker_txs[w].send(Mail::One(Targeted { to, cmd })).is_err() {
+        if self.worker_txs[w].send(Mail { due, item: Targeted { to, cmd } }).is_err() {
             self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
             false
         } else {
@@ -669,7 +639,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     pub fn acquire_in(&self, ns: usize, node: NodeId) -> RequestId {
         let global = self.global_of(ns, node);
         let id = self.shared.sessions.open(global, Instant::now(), false, None);
-        if !self.send_direct(global, NodeCmd::Acquire(id.index())) {
+        if !self.send_to_worker(None, global, NodeCmd::Acquire(id.index())) {
             let _ = self.shared.sessions.abandon(id);
         }
         id
@@ -693,7 +663,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     ) -> RequestId {
         let global = self.global_of(ns, node);
         let id = self.shared.sessions.open(global, Instant::now(), auto_release, Some(watcher.id));
-        if !self.send_direct(global, NodeCmd::Acquire(id.index())) {
+        if !self.send_to_worker(None, global, NodeCmd::Acquire(id.index())) {
             let _ = self.shared.sessions.abandon(id);
         }
         id
@@ -715,7 +685,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// Ignored unless `id` currently holds its node's critical section.
     pub fn release(&self, id: RequestId) {
         if let Some(node) = self.shared.sessions.node_of(id) {
-            let _ = self.send_direct(node, NodeCmd::Release(id.index()));
+            let _ = self.send_to_worker(None, node, NodeCmd::Release(id.index()));
         }
     }
 
@@ -728,13 +698,13 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// Fail-stops `node` (global id) now.
     pub fn crash(&self, node: NodeId) {
         self.assert_node(node);
-        let _ = self.send_direct(node, NodeCmd::Crash);
+        let _ = self.send_to_worker(None, node, NodeCmd::Crash);
     }
 
     /// Recovers `node` (global id) now.
     pub fn recover(&self, node: NodeId) {
         self.assert_node(node);
-        let _ = self.send_direct(node, NodeCmd::Recover);
+        let _ = self.send_to_worker(None, node, NodeCmd::Recover);
     }
 
     /// Converts a tick timestamp into the wall-clock instant it maps to.
@@ -755,14 +725,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
                 self.assert_node(*node);
                 let deliver_at = self.instant_of(*at);
                 let id = self.shared.sessions.open(*node, deliver_at, false, None);
-                if !route(
-                    &self.shared,
-                    &self.router_txs,
-                    self.config.workers,
-                    deliver_at,
-                    *node,
-                    NodeCmd::Acquire(id.index()),
-                ) {
+                if !self.send_to_worker(Some(deliver_at), *node, NodeCmd::Acquire(id.index())) {
                     let _ = self.shared.sessions.abandon(id);
                 }
                 id
@@ -776,20 +739,10 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// consumes.
     pub fn schedule_failures(&self, plan: &FailurePlan) {
         for ev in plan.events() {
-            let _ = route(
-                &self.shared,
-                &self.router_txs,
-                self.config.workers,
-                self.instant_of(ev.at),
-                ev.node,
-                NodeCmd::Crash,
-            );
+            let _ = self.send_to_worker(Some(self.instant_of(ev.at)), ev.node, NodeCmd::Crash);
             if let Some(recover_at) = ev.recover_at {
-                let _ = route(
-                    &self.shared,
-                    &self.router_txs,
-                    self.config.workers,
-                    self.instant_of(recover_at),
+                let _ = self.send_to_worker(
+                    Some(self.instant_of(recover_at)),
                     ev.node,
                     NodeCmd::Recover,
                 );
@@ -871,7 +824,8 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     }
 
     /// Stops the service and returns the final report: every worker is
-    /// joined, the routers' queues are discarded, and every request ends
+    /// joined, its delay heap and mailbox are discarded (token messages
+    /// still in them count as in flight), and every request ends
     /// in a terminal state (still-pending ones become `Abandoned`,
     /// granted ones `Completed`). Each namespace is judged separately —
     /// its own safety oracle, terminal token census, and liveness
@@ -985,25 +939,18 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
 }
 
 impl<P: Protocol> Runtime<P> {
-    /// Stops the routers, then the workers, and joins everything —
-    /// mailbox FIFO means commands already delivered to a worker are
-    /// processed before its Stop. Idempotent: joined handles are taken,
-    /// so a second call is a no-op returning nothing.
+    /// Stops the workers and joins them — mailbox FIFO means client
+    /// commands sent before the Stop are processed first; whatever a
+    /// worker has not processed when it stops (its delay heap, later
+    /// mail from other workers) is dropped, its tokens still counted in
+    /// flight. Idempotent: joined handles are taken, so a second call is
+    /// a no-op returning nothing.
     fn stop_threads(&mut self) -> Vec<WorkerFinal<P>> {
-        for tx in &self.router_txs {
-            let _ = tx.send(RouterMsg::Stop);
-        }
-        for handle in self.router_handles.drain(..) {
-            let _ = handle.join();
-        }
-        if self.worker_handles.is_empty() {
-            return Vec::new();
-        }
         for tx in &self.worker_txs {
-            self.shared.inflight.fetch_add(1, Ordering::SeqCst);
-            if tx.send(Mail::One(Targeted { to: NodeId::new(1), cmd: NodeCmd::Stop })).is_err() {
-                self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            }
+            let _ = tx.send(Mail {
+                due: None,
+                item: Targeted { to: NodeId::new(1), cmd: NodeCmd::Stop },
+            });
         }
         let mut finals: Vec<WorkerFinal<P>> = Vec::with_capacity(self.n);
         for handle in self.worker_handles.drain(..) {
@@ -1017,10 +964,10 @@ impl<P: Protocol> Runtime<P> {
 }
 
 /// Dropping a runtime without [`Runtime::shutdown`] (an early return, a
-/// panicking test) must not strand the router and worker threads: the
-/// channel topology is a cycle (workers hold router senders, routers
-/// hold worker senders), so nobody would ever observe disconnection.
-/// Drop performs the same stop sequence and discards the final states.
+/// panicking test) must not strand the worker threads: every worker
+/// holds every worker's mailbox sender, so nobody would ever observe
+/// disconnection. Drop performs the same stop sequence and discards
+/// the final states.
 impl<P: Protocol> Drop for Runtime<P> {
     fn drop(&mut self) {
         let _ = self.stop_threads();
@@ -1028,149 +975,109 @@ impl<P: Protocol> Drop for Runtime<P> {
 }
 
 // --------------------------------------------------------------------
-// Routers
+// Delay heaps
 // --------------------------------------------------------------------
 
-/// One router shard: a thread holding the delay heap for network
-/// messages, timers, CS leases, and scheduled crash/recovery commands of
-/// the workers it serves. Due commands are delivered as one batch per
-/// worker per pass ([`Mail::Many`]), so a burst of simultaneous
-/// deliveries costs one channel send, not one per message.
-fn router_main<M: MessageKind + Send + 'static>(
-    rx: Receiver<RouterMsg<M>>,
+/// A command waiting in a worker's delay heap, ordered by
+/// `(deliver_at, seq)`: due time first, then arrival order.
+struct Pending<M> {
+    deliver_at: Instant,
+    seq: u64,
+    item: Targeted<M>,
+}
+
+impl<M> PartialEq for Pending<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+
+impl<M> Eq for Pending<M> {}
+
+impl<M> PartialOrd for Pending<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<M> Ord for Pending<M> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
+    }
+}
+
+/// A worker's side of the network: the delay heap of every message,
+/// timer, CS lease and scheduled command addressed to its nodes, plus
+/// every worker's mailbox for sends to nodes it does not own.
+struct Post<M> {
+    me: usize,
     mailboxes: Vec<Sender<Mail<M>>>,
-    shared: Arc<Shared>,
-) {
-    struct Pending<M> {
-        deliver_at: Instant,
-        seq: u64,
-        item: Targeted<M>,
+    heap: BinaryHeap<Reverse<Pending<M>>>,
+    seq: u64,
+    /// Heap length right after the last prune.
+    pruned_len: usize,
+    /// In-flight claims the current batch took on this worker's own heap
+    /// and timers, minus those it released (cancelled, superseded or
+    /// crash-cleared armings); settled into [`Shared::inflight`] once
+    /// per batch.
+    claims: i64,
+}
+
+impl<M> Post<M> {
+    fn new(me: usize, mailboxes: Vec<Sender<Mail<M>>>) -> Self {
+        Post { me, mailboxes, heap: BinaryHeap::new(), seq: 0, pruned_len: 0, claims: 0 }
     }
-    impl<M> PartialEq for Pending<M> {
-        fn eq(&self, other: &Self) -> bool {
-            self.seq == other.seq
-        }
+
+    /// Queues `item` in this worker's heap, without a claim.
+    fn push(&mut self, deliver_at: Instant, item: Targeted<M>) {
+        self.seq += 1;
+        self.heap.push(Reverse(Pending { deliver_at, seq: self.seq, item }));
     }
-    impl<M> Eq for Pending<M> {}
-    impl<M> PartialOrd for Pending<M> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<M> Ord for Pending<M> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
+
+    /// Sends `cmd` to global node `to`, due at `deliver_at`, holding one
+    /// in-flight claim: into this worker's heap, or into the owning
+    /// worker's mailbox. Mail to a worker that has already stopped is
+    /// dropped (only during shutdown).
+    fn send(&mut self, shared: &Shared, deliver_at: Instant, to: NodeId, cmd: NodeCmd<M>) {
+        let w = (to.zero_based() as usize) % self.mailboxes.len();
+        let item = Targeted { to, cmd };
+        if w == self.me {
+            self.claims += 1;
+            self.push(deliver_at, item);
+        } else {
+            shared.inflight.fetch_add(1, Ordering::SeqCst);
+            let _ = self.mailboxes[w].send(Mail { due: Some(deliver_at), item });
         }
     }
 
-    /// A command that will never be processed leaves the in-flight count
-    /// (and, for a token-carrying delivery, its namespace's census).
-    fn discard<M: MessageKind>(shared: &Shared, item: &Targeted<M>) {
-        if let NodeCmd::Deliver { msg, .. } = &item.cmd {
-            if msg.carries_token() {
-                let ns = shared.ns_of(item.to.zero_based() as usize);
-                shared.tokens_in_flight[ns].fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
+    fn next_deadline(&self) -> Option<Instant> {
+        self.heap.peek().map(|Reverse(p)| p.deliver_at)
     }
 
-    let workers = mailboxes.len();
-    let mut heap: BinaryHeap<Reverse<Pending<M>>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    // Reused per-worker delivery buffers and the token-namespace
-    // snapshot for failed sends (the vendored channel consumes the
-    // payload on failure, so census bookkeeping is recorded first).
-    let mut batches: Vec<Vec<Targeted<M>>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut token_ns: Vec<usize> = Vec::new();
-    let mut open = true;
-    'outer: while open || !heap.is_empty() {
-        // Deliver everything due, grouped by worker.
-        let now = Instant::now();
-        let mut any_due = false;
-        while let Some(Reverse(top)) = heap.peek() {
-            if top.deliver_at > now {
-                break;
-            }
-            let Reverse(p) = heap.pop().expect("peeked");
-            let w = (p.item.to.zero_based() as usize) % workers;
-            batches[w].push(p.item);
-            any_due = true;
+    /// Moves every entry due by `now` to the back of `queue`.
+    fn drain_due(&mut self, now: Instant, queue: &mut VecDeque<Targeted<M>>) {
+        while self.heap.peek().is_some_and(|Reverse(p)| p.deliver_at <= now) {
+            let Reverse(p) = self.heap.pop().expect("peeked");
+            queue.push_back(p.item);
         }
-        if any_due {
-            for (w, batch) in batches.iter_mut().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let count = batch.len() as u64;
-                token_ns.clear();
-                for item in batch.iter() {
-                    if let NodeCmd::Deliver { msg, .. } = &item.cmd {
-                        if msg.carries_token() {
-                            token_ns.push(shared.ns_of(item.to.zero_based() as usize));
-                        }
-                    }
-                }
-                let mail = if count == 1 {
-                    Mail::One(batch.pop().expect("len 1"))
-                } else {
-                    Mail::Many(std::mem::take(batch))
-                };
-                if mailboxes[w].send(mail).is_err() {
-                    // Worker gone (shutdown): the whole batch dies here.
-                    for &ns in &token_ns {
-                        shared.tokens_in_flight[ns].fetch_sub(1, Ordering::SeqCst);
-                    }
-                    shared.inflight.fetch_sub(count, Ordering::SeqCst);
-                }
-            }
+    }
+
+    /// Once the heap has doubled since the last prune, removes every
+    /// timer entry whose arming is no longer live. Dead entries hold no
+    /// claim, so nothing is released; the linear pass is paid for by the
+    /// pushes that doubled the heap.
+    fn prune<P>(&mut self, slots: &[Slot<P>]) {
+        if self.heap.len() < 2 * self.pruned_len {
+            return;
         }
-        // Wait for the next deadline or new work.
-        let wait =
-            heap.peek().map(|Reverse(p)| p.deliver_at.saturating_duration_since(Instant::now()));
-        let received = match wait {
-            Some(d) if !heap.is_empty() => match rx.recv_timeout(d) {
-                Ok(msg) => Some(msg),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // No more senders: sleep out the remaining deadline so
-                    // queued deliveries still happen on time.
-                    open = false;
-                    std::thread::sleep(d);
-                    None
-                }
-            },
-            _ => match rx.recv() {
-                Ok(msg) => Some(msg),
-                Err(_) => {
-                    open = false;
-                    None
-                }
-            },
-        };
-        match received {
-            Some(RouterMsg::Route { deliver_at, item }) => {
-                seq += 1;
-                heap.push(Reverse(Pending { deliver_at, seq, item }));
+        let workers = self.mailboxes.len();
+        self.heap.retain(|Reverse(p)| match p.item.cmd {
+            NodeCmd::Timer(packed) => {
+                timer_is_live(&slots[(p.item.to.zero_based() as usize) / workers].timers, packed)
             }
-            Some(RouterMsg::Stop) => {
-                // Discard everything undelivered — the delay heap AND
-                // whatever is still queued in the channel behind this
-                // Stop — with the same accounting, so the in-flight
-                // count and the token census agree on what the forced
-                // shutdown destroyed, whichever queue it sat in.
-                for Reverse(p) in heap.drain() {
-                    discard(&shared, &p.item);
-                }
-                while let Ok(msg) = rx.try_recv() {
-                    if let RouterMsg::Route { item, .. } = msg {
-                        discard(&shared, &item);
-                    }
-                }
-                break 'outer;
-            }
-            None => {}
-        }
+            _ => true,
+        });
+        self.pruned_len = self.heap.len();
     }
 }
 
@@ -1203,15 +1110,15 @@ impl<P> Slot<P> {
     }
 }
 
-/// One node's substrate effects: the runtime's [`ActionSink`], handing
-/// the engine's actions to a router thread with real-time deadlines.
+/// One node's substrate effects: the runtime's [`ActionSink`], posting
+/// the engine's actions with real-time deadlines.
 /// The deliver→step→collect-actions loop itself lives in
 /// [`oc_sim::drive`] — the same code path the simulator runs. Node ids
 /// crossing this sink are namespace-local (the protocol's view);
 /// routing converts to global ids.
 struct ThreadSink<'a, M> {
     shared: &'a Shared,
-    routers: &'a [Sender<RouterMsg<M>>],
+    post: &'a mut Post<M>,
     config: &'a RuntimeConfig,
     rng: &'a mut StdRng,
     timers: &'a mut TimerRow,
@@ -1302,34 +1209,14 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
         let to_global = self.global(to);
         if duplicate {
             self.stats.duplicated_deliveries += 1;
-            let delay = self.sample_delay();
-            let _ = route(
-                shared,
-                self.routers,
-                self.config.workers,
-                Instant::now() + delay,
-                to_global,
-                NodeCmd::Deliver { from, msg: msg.clone() },
-            );
+            let at = Instant::now() + self.sample_delay();
+            self.post.send(shared, at, to_global, NodeCmd::Deliver { from, msg: msg.clone() });
         }
-        let carries_token = msg.carries_token();
-        if carries_token {
+        if msg.carries_token() {
             shared.tokens_in_flight[self.ns].fetch_add(1, Ordering::SeqCst);
         }
-        let delay = self.sample_delay();
-        if !route(
-            shared,
-            self.routers,
-            self.config.workers,
-            Instant::now() + delay,
-            to_global,
-            NodeCmd::Deliver { from, msg },
-        ) && carries_token
-        {
-            // Router gone (shutdown): the message — and its token — die.
-            // `route` already undid the in-flight count; undo the census.
-            shared.tokens_in_flight[self.ns].fetch_sub(1, Ordering::SeqCst);
-        }
+        let at = Instant::now() + self.sample_delay();
+        self.post.send(shared, at, to_global, NodeCmd::Deliver { from, msg });
     }
 
     fn enter_cs(&mut self, node: NodeId, token_epoch: u64) {
@@ -1346,127 +1233,305 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
         let auto = matches!(shared.sessions.grant(global, Instant::now()), Some((_, _, true)));
         // Auto-release requests skip the wall-clock lease: the worker
         // exits the CS immediately after this command (`drain_auto`),
-        // so no ExitLease ever crosses the router for them.
+        // so no ExitLease is ever scheduled for them.
         if !auto {
-            let _ = route(
-                shared,
-                self.routers,
-                self.config.workers,
-                Instant::now() + self.config.cs_duration,
-                global,
-                NodeCmd::ExitLease { lease: *self.lease },
-            );
+            let at = Instant::now() + self.config.cs_duration;
+            self.post.send(shared, at, global, NodeCmd::ExitLease { lease: *self.lease });
         }
     }
 
+    /// A node's timers hold one in-flight claim per *armed* timer: a
+    /// fresh arming takes one, superseding an arming inherits its claim.
     fn set_timer(&mut self, node: NodeId, timer_id: u64, delay: SimDuration) {
-        assert!(timer_id < (1 << GEN_SHIFT), "timer id too large for packing");
+        assert!(timer_id <= TIMER_ID_MASK, "timer id too large for packing");
         *self.next_gen += 1;
+        let armed = self.timers.armed();
         self.timers.arm(timer_id, *self.next_gen);
+        self.post.claims += (self.timers.armed() - armed) as i64;
         let packed = timer_id | (*self.next_gen << GEN_SHIFT);
-        let real_delay = ticks_to_wall(self.shared.tick_nanos, delay.ticks());
-        let _ = route(
-            self.shared,
-            self.routers,
-            self.config.workers,
-            Instant::now() + real_delay,
-            self.global(node),
-            NodeCmd::Timer(packed),
-        );
+        let at = Instant::now() + ticks_to_wall(self.shared.tick_nanos, delay.ticks());
+        self.post.push(at, Targeted { to: self.global(node), cmd: NodeCmd::Timer(packed) });
     }
 
+    /// Cancelling releases the arming's claim; the heap entry stays,
+    /// dead, until it comes due or a prune removes it.
     fn cancel_timer(&mut self, _node: NodeId, timer_id: u64) {
+        let armed = self.timers.armed();
         self.timers.cancel(timer_id);
+        self.post.claims -= (armed - self.timers.armed()) as i64;
     }
 }
 
-/// One worker's thread: drains its mailbox in batches, runs its shard of
-/// nodes through the shared engine driver, executes actions through the
-/// routers and monitors. Effects are published batch-at-a-time — idle
-/// flags first, then statistics, then the batch's in-flight claims are
-/// released in one subtraction — so [`Runtime::settled`] never observes
-/// a zero in-flight count with unpublished effects. Returns the shard's
-/// final node states for the shutdown horizon.
-fn worker_main<P: Protocol + Send + 'static>(
-    mut slots: Vec<Slot<P>>,
-    rx: Receiver<Mail<P::Msg>>,
-    routers: Vec<Sender<RouterMsg<P::Msg>>>,
+/// What a worker's nodes share while it runs them: the runtime's shared
+/// state, the worker's post, its RNG stream, the reusable action buffer
+/// and the batch-local statistics.
+struct Worker<M> {
     shared: Arc<Shared>,
     config: RuntimeConfig,
-) -> Vec<WorkerFinal<P>> {
-    fn enqueue<M>(queue: &mut VecDeque<Targeted<M>>, mail: Mail<M>) {
-        match mail {
-            Mail::One(item) => queue.push_back(item),
-            Mail::Many(items) => queue.extend(items),
+    post: Post<M>,
+    rng: StdRng,
+    out: Outbox<M>,
+    stats: LocalStats,
+}
+
+impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> Worker<M> {
+    /// The single construction point for [`ThreadSink`]'s split borrows:
+    /// builds the slot's sink and feeds one event through the shared
+    /// engine driver (`None` runs the recovery hook instead).
+    fn drive_slot<P: Protocol<Msg = M>>(
+        &mut self,
+        slot: &mut Slot<P>,
+        event: Option<NodeEvent<M>>,
+    ) {
+        let Worker { shared, config, post, rng, out, stats } = self;
+        let mut sink = ThreadSink {
+            shared,
+            post,
+            config,
+            rng,
+            timers: &mut slot.timers,
+            next_gen: &mut slot.next_gen,
+            lease: &mut slot.lease,
+            ns: slot.ns,
+            ns_offset: slot.ns_offset,
+            stats,
+        };
+        match event {
+            Some(event) => drive(&mut slot.node, event, out, &mut sink),
+            None => drive_recovery(&mut slot.node, out, &mut sink),
         }
     }
 
-    let workers = config.workers;
-    let mut rng = StdRng::seed_from_u64(
-        config.seed
-            ^ slots.first().map_or(0, |s| (s.idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    );
-    let mut out: Outbox<P::Msg> = Outbox::new();
-    let mut queue: VecDeque<Targeted<P::Msg>> = VecDeque::new();
-    let mut touched: Vec<usize> = Vec::new();
-    let mut stats = LocalStats::default();
-    let mut stopping = false;
-
-    'main: loop {
-        match rx.recv() {
-            Ok(mail) => enqueue(&mut queue, mail),
-            Err(_) => break 'main,
+    /// Exits the CS for as long as the node sits inside it on behalf of
+    /// an auto-release request — the closed-loop fast path: grant and
+    /// exit happen within one worker dispatch, no ExitLease is
+    /// scheduled. Loops because an exit can immediately re-grant the
+    /// next queued request, which may itself be auto-release.
+    fn drain_auto<P: Protocol<Msg = M>>(&mut self, slot: &mut Slot<P>, global: NodeId) {
+        while !slot.crashed && slot.node.in_cs() && self.shared.sessions.current_is_auto(global) {
+            self.exit_cs(slot, global);
         }
-        // Opportunistic burst: top the batch up from whatever is already
-        // queued, without blocking.
-        while queue.len() < config.batch {
-            match rx.try_recv() {
-                Ok(mail) => enqueue(&mut queue, mail),
-                Err(_) => break,
+    }
+
+    /// The shared CS-exit path (lease expiry, early release, auto-release).
+    fn exit_cs<P: Protocol<Msg = M>>(&mut self, slot: &mut Slot<P>, global: NodeId) {
+        let local = slot.local(global);
+        let shared = &*self.shared;
+        {
+            let mut monitor = shared.lock_monitor(slot.ns);
+            let at = shared.sim_now();
+            monitor.oracle.exit_cs(local);
+            monitor.trace.push(at, TraceRecord::ExitCs(local));
+        }
+        let _ = shared.sessions.complete_current(global);
+        self.drive_slot(slot, Some(NodeEvent::ExitCs));
+    }
+
+    /// Executes one command against its node. `global` is the routing
+    /// id; the protocol and the namespace's monitor speak the local id.
+    /// Timer entries arrive live: the worker loop skips dead ones.
+    fn process<P: Protocol<Msg = M>>(
+        &mut self,
+        slot: &mut Slot<P>,
+        global: NodeId,
+        cmd: NodeCmd<M>,
+    ) {
+        let local = slot.local(global);
+        let shared = &*self.shared;
+        match cmd {
+            NodeCmd::Stop => unreachable!("handled by the worker loop"),
+            NodeCmd::Deliver { from, msg } => {
+                if msg.carries_token() {
+                    shared.tokens_in_flight[slot.ns].fetch_sub(1, Ordering::SeqCst);
+                }
+                if slot.crashed {
+                    // Fail-stop: everything delivered while down is lost.
+                    self.stats.lost_to_crashes += 1;
+                    return;
+                }
+                if shared.trace_enabled && slot.ns == 0 {
+                    let mut monitor = shared.lock_monitor(0);
+                    let at = shared.sim_now();
+                    monitor.trace.push(
+                        at,
+                        TraceRecord::Deliver {
+                            from,
+                            to: local,
+                            kind: msg.kind(),
+                            desc: format!("{msg:?}"),
+                        },
+                    );
+                }
+                self.drive_slot(slot, Some(NodeEvent::Deliver { from, msg }));
+            }
+            NodeCmd::Timer(packed) => {
+                let timer_id = packed & TIMER_ID_MASK;
+                let fired = slot.timers.fire(timer_id, packed >> GEN_SHIFT);
+                debug_assert!(fired, "dead timer entry reached process");
+                self.drive_slot(slot, Some(NodeEvent::Timer(timer_id)));
+            }
+            NodeCmd::Acquire(id) => {
+                let request = RequestId::from_index(id);
+                if slot.crashed {
+                    // The application on a crashed node cannot request;
+                    // the injection is abandoned, never served.
+                    let _ = shared.sessions.abandon(request);
+                    return;
+                }
+                shared.sessions.activate(request);
+                self.drive_slot(slot, Some(NodeEvent::RequestCs));
+            }
+            NodeCmd::Release(id) => {
+                if slot.crashed
+                    || !shared.sessions.is_current(RequestId::from_index(id), global)
+                    || !slot.node.in_cs()
+                {
+                    return;
+                }
+                self.exit_cs(slot, global);
+            }
+            NodeCmd::ExitLease { lease } => {
+                // Stale leases (superseded by a later CS entry, or by a
+                // crash) are dropped — the runtime's analogue of the
+                // simulator purging a dead CS's scheduled exit.
+                if slot.crashed || lease != slot.lease || !slot.node.in_cs() {
+                    return;
+                }
+                self.exit_cs(slot, global);
+            }
+            NodeCmd::Crash => {
+                if slot.crashed {
+                    return;
+                }
+                slot.crashed = true;
+                shared.counters.crashes.fetch_add(1, Ordering::Relaxed);
+                {
+                    let mut monitor = shared.lock_monitor(slot.ns);
+                    let at = shared.sim_now();
+                    monitor.oracle.exit_cs(local);
+                    monitor.trace.push(at, TraceRecord::Crash(local));
+                }
+                // All volatile node state is lost — including the
+                // application's not-yet-served requests, which are
+                // therefore abandoned; a granted request's CS died with
+                // the node (its lease is invalidated below).
+                let _ = shared.sessions.crash_node(global);
+                slot.node.on_crash();
+                self.post.claims -= slot.timers.armed() as i64;
+                slot.timers.clear();
+                slot.lease += 1;
+            }
+            NodeCmd::Recover => {
+                if !slot.crashed {
+                    return;
+                }
+                slot.crashed = false;
+                slot.recovered_ever = true;
+                shared.counters.recoveries.fetch_add(1, Ordering::Relaxed);
+                {
+                    let mut monitor = shared.lock_monitor(slot.ns);
+                    let at = shared.sim_now();
+                    monitor.trace.push(at, TraceRecord::Recover(local));
+                }
+                self.drive_slot(slot, None);
             }
         }
+    }
+}
+
+/// One worker's thread: waits for mail or its heap's next deadline,
+/// drains its mailbox in batches plus everything due, runs its shard of
+/// nodes through the shared engine driver, and executes actions through
+/// its [`Post`] and the monitors. Effects are published batch-at-a-time
+/// — idle flags first, then statistics, then the batch's in-flight
+/// claims are settled in one update — so [`Runtime::settled`] never
+/// observes a zero in-flight count with unpublished effects. Returns
+/// the shard's final node states for the shutdown horizon.
+fn worker_main<P: Protocol + Send + 'static>(
+    mut slots: Vec<Slot<P>>,
+    rx: Receiver<Mail<P::Msg>>,
+    post: Post<P::Msg>,
+    shared: Arc<Shared>,
+    config: RuntimeConfig,
+) -> Vec<WorkerFinal<P>> {
+    let seed = config.seed
+        ^ slots.first().map_or(0, |s| (s.idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut w = Worker {
+        shared,
+        config,
+        post,
+        rng: StdRng::seed_from_u64(seed),
+        out: Outbox::new(),
+        stats: LocalStats::default(),
+    };
+    let mut queue: VecDeque<Targeted<P::Msg>> = VecDeque::new();
+    let mut touched: Vec<usize> = Vec::new();
+
+    'main: loop {
+        let wait = w.post.next_deadline().map(|at| at.saturating_duration_since(Instant::now()));
+        let mut mail = match wait {
+            Some(d) if d.is_zero() => None,
+            Some(d) => match rx.recv_timeout(d) {
+                Ok(mail) => Some(mail),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => break 'main,
+            },
+            None => match rx.recv() {
+                Ok(mail) => Some(mail),
+                Err(_) => break 'main,
+            },
+        };
+        // Opportunistic burst: top the batch up from whatever is already
+        // queued, without blocking; then add everything due.
+        let mut taken = 0;
+        while let Some(Mail { due, item }) = mail {
+            match due {
+                Some(at) => w.post.push(at, item),
+                None => queue.push_back(item),
+            }
+            taken += 1;
+            mail = if taken < config.batch { rx.try_recv().ok() } else { None };
+        }
+        w.post.drain_due(Instant::now(), &mut queue);
+
         let mut processed = 0u64;
+        let mut stopping = false;
         touched.clear();
         while let Some(Targeted { to, cmd }) = queue.pop_front() {
-            processed += 1;
             if matches!(cmd, NodeCmd::Stop) {
                 stopping = true;
                 break;
             }
-            stats.events_processed += 1;
-            let slot_pos = (to.zero_based() as usize) / workers;
+            let slot_pos = (to.zero_based() as usize) / config.workers;
             let slot = &mut slots[slot_pos];
-            process(slot, to, cmd, &mut out, &routers, &shared, &config, &mut rng, &mut stats);
-            drain_auto(slot, to, &mut out, &routers, &shared, &config, &mut rng, &mut stats);
+            if matches!(cmd, NodeCmd::Timer(packed) if !timer_is_live(&slot.timers, packed)) {
+                continue; // cancelled, superseded or crash-cleared: no claim, no event
+            }
+            processed += 1;
+            w.process(slot, to, cmd);
+            w.drain_auto(slot, to);
             touched.push(slot_pos);
         }
-        // Publish the batch's effects, *then* release its in-flight
+        // Publish the batch's effects, *then* settle its in-flight
         // claims (idle-before-inflight is what `settled` relies on).
         touched.sort_unstable();
         touched.dedup();
         for &pos in touched.iter() {
             let slot = &slots[pos];
-            shared.idle[slot.idx].store(slot.crashed || slot.node.is_idle(), Ordering::SeqCst);
+            w.shared.idle[slot.idx].store(slot.crashed || slot.node.is_idle(), Ordering::SeqCst);
         }
-        stats.flush(&shared.counters);
-        if stopping {
-            // Mailbox FIFO puts Stop last, so nothing should follow it —
-            // but account for any leftovers defensively, exactly like a
-            // router discard.
-            for item in queue.drain(..) {
-                processed += 1;
-                if let NodeCmd::Deliver { msg, .. } = &item.cmd {
-                    if msg.carries_token() {
-                        let ns = shared.ns_of(item.to.zero_based() as usize);
-                        shared.tokens_in_flight[ns].fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            }
+        w.stats.events_processed += processed;
+        w.stats.flush(&w.shared.counters);
+        let delta = std::mem::take(&mut w.post.claims) - processed as i64;
+        if delta > 0 {
+            w.shared.inflight.fetch_add(delta.unsigned_abs(), Ordering::SeqCst);
+        } else if delta < 0 {
+            w.shared.inflight.fetch_sub(delta.unsigned_abs(), Ordering::SeqCst);
         }
-        shared.inflight.fetch_sub(processed, Ordering::SeqCst);
         if stopping {
             break 'main;
         }
+        w.post.prune(&slots);
     }
     slots
         .into_iter()
@@ -1477,196 +1542,6 @@ fn worker_main<P: Protocol + Send + 'static>(
             recovered_ever: slot.recovered_ever,
         })
         .collect()
-}
-
-/// The single construction point for [`ThreadSink`]'s split borrows:
-/// builds the slot's sink and feeds one event through the shared engine
-/// driver (`None` runs the recovery hook instead).
-#[allow(clippy::too_many_arguments)]
-fn drive_slot<P: Protocol + Send + 'static>(
-    slot: &mut Slot<P>,
-    event: Option<NodeEvent<P::Msg>>,
-    out: &mut Outbox<P::Msg>,
-    routers: &[Sender<RouterMsg<P::Msg>>],
-    shared: &Shared,
-    config: &RuntimeConfig,
-    rng: &mut StdRng,
-    stats: &mut LocalStats,
-) {
-    let mut sink = ThreadSink {
-        shared,
-        routers,
-        config,
-        rng,
-        timers: &mut slot.timers,
-        next_gen: &mut slot.next_gen,
-        lease: &mut slot.lease,
-        ns: slot.ns,
-        ns_offset: slot.ns_offset,
-        stats,
-    };
-    match event {
-        Some(event) => drive(&mut slot.node, event, out, &mut sink),
-        None => drive_recovery(&mut slot.node, out, &mut sink),
-    }
-}
-
-/// Exits the CS for as long as the node sits inside it on behalf of an
-/// auto-release request — the closed-loop fast path: grant and exit
-/// happen within one worker dispatch, no ExitLease round-trips through
-/// the router. Loops because an exit can immediately re-grant the next
-/// queued request, which may itself be auto-release.
-#[allow(clippy::too_many_arguments)]
-fn drain_auto<P: Protocol + Send + 'static>(
-    slot: &mut Slot<P>,
-    global: NodeId,
-    out: &mut Outbox<P::Msg>,
-    routers: &[Sender<RouterMsg<P::Msg>>],
-    shared: &Shared,
-    config: &RuntimeConfig,
-    rng: &mut StdRng,
-    stats: &mut LocalStats,
-) {
-    while !slot.crashed && slot.node.in_cs() && shared.sessions.current_is_auto(global) {
-        exit_cs(slot, global, out, routers, shared, config, rng, stats);
-    }
-}
-
-/// Executes one command against its node. `global` is the routing id;
-/// the protocol and the namespace's monitor speak the local id.
-#[allow(clippy::too_many_arguments)]
-fn process<P: Protocol + Send + 'static>(
-    slot: &mut Slot<P>,
-    global: NodeId,
-    cmd: NodeCmd<P::Msg>,
-    out: &mut Outbox<P::Msg>,
-    routers: &[Sender<RouterMsg<P::Msg>>],
-    shared: &Shared,
-    config: &RuntimeConfig,
-    rng: &mut StdRng,
-    stats: &mut LocalStats,
-) {
-    let local = slot.local(global);
-    match cmd {
-        NodeCmd::Stop => unreachable!("handled by the worker loop"),
-        NodeCmd::Deliver { from, msg } => {
-            if msg.carries_token() {
-                shared.tokens_in_flight[slot.ns].fetch_sub(1, Ordering::SeqCst);
-            }
-            if slot.crashed {
-                // Fail-stop: everything delivered while down is lost.
-                stats.lost_to_crashes += 1;
-                return;
-            }
-            if shared.trace_enabled && slot.ns == 0 {
-                let mut monitor = shared.lock_monitor(0);
-                let at = shared.sim_now();
-                monitor.trace.push(
-                    at,
-                    TraceRecord::Deliver {
-                        from,
-                        to: local,
-                        kind: msg.kind(),
-                        desc: format!("{msg:?}"),
-                    },
-                );
-            }
-            drive_slot(
-                slot,
-                Some(NodeEvent::Deliver { from, msg }),
-                out,
-                routers,
-                shared,
-                config,
-                rng,
-                stats,
-            );
-        }
-        NodeCmd::Timer(packed) => {
-            if slot.crashed {
-                return;
-            }
-            let timer_id = packed & ((1 << GEN_SHIFT) - 1);
-            let generation = packed >> GEN_SHIFT;
-            if !slot.timers.fire(timer_id, generation) {
-                return; // cancelled or superseded
-            }
-            drive_slot(
-                slot,
-                Some(NodeEvent::Timer(timer_id)),
-                out,
-                routers,
-                shared,
-                config,
-                rng,
-                stats,
-            );
-        }
-        NodeCmd::Acquire(id) => {
-            let request = RequestId::from_index(id);
-            if slot.crashed {
-                // The application on a crashed node cannot request; the
-                // injection is abandoned, never served.
-                let _ = shared.sessions.abandon(request);
-                return;
-            }
-            shared.sessions.activate(request);
-            drive_slot(slot, Some(NodeEvent::RequestCs), out, routers, shared, config, rng, stats);
-        }
-        NodeCmd::Release(id) => {
-            if slot.crashed
-                || !shared.sessions.is_current(RequestId::from_index(id), global)
-                || !slot.node.in_cs()
-            {
-                return;
-            }
-            exit_cs(slot, global, out, routers, shared, config, rng, stats);
-        }
-        NodeCmd::ExitLease { lease } => {
-            // Stale leases (superseded by a later CS entry, or by a
-            // crash) are dropped — the runtime's analogue of the
-            // simulator purging a dead CS's scheduled exit.
-            if slot.crashed || lease != slot.lease || !slot.node.in_cs() {
-                return;
-            }
-            exit_cs(slot, global, out, routers, shared, config, rng, stats);
-        }
-        NodeCmd::Crash => {
-            if slot.crashed {
-                return;
-            }
-            slot.crashed = true;
-            shared.counters.crashes.fetch_add(1, Ordering::Relaxed);
-            {
-                let mut monitor = shared.lock_monitor(slot.ns);
-                let at = shared.sim_now();
-                monitor.oracle.exit_cs(local);
-                monitor.trace.push(at, TraceRecord::Crash(local));
-            }
-            // All volatile node state is lost — including the
-            // application's not-yet-served requests, which are
-            // therefore abandoned; a granted request's CS died with the
-            // node (its lease is invalidated below).
-            let _ = shared.sessions.crash_node(global);
-            slot.node.on_crash();
-            slot.timers.clear();
-            slot.lease += 1;
-        }
-        NodeCmd::Recover => {
-            if !slot.crashed {
-                return;
-            }
-            slot.crashed = false;
-            slot.recovered_ever = true;
-            shared.counters.recoveries.fetch_add(1, Ordering::Relaxed);
-            {
-                let mut monitor = shared.lock_monitor(slot.ns);
-                let at = shared.sim_now();
-                monitor.trace.push(at, TraceRecord::Recover(local));
-            }
-            drive_slot(slot, None, out, routers, shared, config, rng, stats);
-        }
-    }
 }
 
 /// Partition awareness for one namespace's shutdown horizon — the same
@@ -1692,29 +1567,6 @@ fn isolation_at<P: Protocol>(
         &holders,
         census,
     )
-}
-
-/// The shared CS-exit path (lease expiry, early release, auto-release).
-#[allow(clippy::too_many_arguments)]
-fn exit_cs<P: Protocol + Send + 'static>(
-    slot: &mut Slot<P>,
-    global: NodeId,
-    out: &mut Outbox<P::Msg>,
-    routers: &[Sender<RouterMsg<P::Msg>>],
-    shared: &Shared,
-    config: &RuntimeConfig,
-    rng: &mut StdRng,
-    stats: &mut LocalStats,
-) {
-    let local = slot.local(global);
-    {
-        let mut monitor = shared.lock_monitor(slot.ns);
-        let at = shared.sim_now();
-        monitor.oracle.exit_cs(local);
-        monitor.trace.push(at, TraceRecord::ExitCs(local));
-    }
-    let _ = shared.sessions.complete_current(global);
-    drive_slot(slot, Some(NodeEvent::ExitCs), out, routers, shared, config, rng, stats);
 }
 
 #[cfg(test)]
@@ -1983,7 +1835,6 @@ mod tests {
     #[test]
     fn namespaces_are_independent_lock_instances() {
         let mut cfg = config(2);
-        cfg.routers = 2;
         cfg.batch = 32;
         let populations: Vec<Vec<OpenCubeNode>> =
             (0..4).map(|_| OpenCubeNode::build_all(protocol(4))).collect();
@@ -2026,5 +1877,124 @@ mod tests {
         assert_eq!(report.cs_entries, 100);
         assert_eq!(report.requests_completed, 100);
         assert!(report.is_clean(), "oracles: {report:?}");
+    }
+
+    /// Closed loop over `namespaces` cubes of `n` nodes: keeps one
+    /// auto-release acquisition outstanding per namespace, each at a
+    /// random node, until `acquisitions` have been issued or `until`
+    /// passes. Returns without waiting for the last completions.
+    fn closed_loop(
+        rt: &Runtime<OpenCubeNode>,
+        n: u32,
+        acquisitions: usize,
+        until: Instant,
+        seed: u64,
+    ) {
+        let watcher = rt.watcher();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for ns in 0..rt.namespaces() {
+            let _ = rt.acquire_watched(ns, NodeId::new(rng.random_range(1..=n)), &watcher, true);
+        }
+        let mut issued = rt.namespaces();
+        while issued < acquisitions && Instant::now() < until {
+            let (id, status) = watcher.recv_timeout(Duration::from_secs(30)).expect("completion");
+            assert_eq!(status, RequestStatus::Completed);
+            let ns = rt.namespace_of(id).expect("completion has a namespace");
+            let _ = rt.acquire_watched(ns, NodeId::new(rng.random_range(1..=n)), &watcher, true);
+            issued += 1;
+        }
+    }
+
+    #[test]
+    fn forced_shutdown_under_load_counts_every_token() {
+        // Shut down mid-load without settling, with tokens crossing
+        // between two workers in eight namespaces: every request ends
+        // terminal, and each namespace's census finds its one token —
+        // held, or still in a delay heap or mailbox when the workers
+        // stopped (mail to an already-stopped worker included).
+        let namespaces = 8;
+        let populations = (0..namespaces).map(|_| OpenCubeNode::build_all(protocol(8))).collect();
+        let rt = Runtime::start_multi(config(2), populations);
+        closed_loop(&rt, 8, usize::MAX, Instant::now() + Duration::from_millis(100), 3);
+        let report = rt.shutdown();
+        assert_eq!(report.requests_completed + report.requests_abandoned, report.requests_injected);
+        assert!(report.cs_entries > namespaces as u64, "load was in progress: {report:?}");
+        assert_eq!(report.terminal_token_census, namespaces, "one token per namespace");
+        assert!(report.safety.is_clean(), "safety: {report:?}");
+    }
+
+    #[test]
+    fn dead_timers_are_neither_processed_nor_kept() {
+        // Fault-free auto-release closed loop at the load harness's
+        // timing (20µs tick, δ = 16, slack 50 000 ticks = 1 s): each
+        // acquisition arms and then cancels slack timers. A cancelled
+        // timer is not an event, so the worker commands are the
+        // deliveries plus the acquires — and it holds no in-flight
+        // claim, so settling does not wait out its 1 s slack.
+        let cfg = RuntimeConfig {
+            workers: 2,
+            tick: Duration::from_micros(20),
+            max_network_delay: Duration::from_micros(200),
+            seed: 5,
+            ..RuntimeConfig::default()
+        };
+        let proto = Config::new(16, SimDuration::from_ticks(16), SimDuration::from_ticks(25))
+            .with_contention_slack(SimDuration::from_ticks(50_000));
+        let rt =
+            Runtime::start_multi(cfg, (0..4).map(|_| OpenCubeNode::build_all(proto)).collect());
+        closed_loop(&rt, 16, 4_000, Instant::now() + Duration::from_secs(60), 9);
+        let settle = Instant::now();
+        assert!(rt.await_settled(Duration::from_secs(30)));
+        let settle = settle.elapsed();
+        let report = rt.shutdown();
+        assert!(report.is_clean(), "oracles: {report:?}");
+        assert_eq!(report.requests_completed, 4_000);
+        assert!(
+            report.events_processed <= report.messages_sent + report.requests_injected + 16,
+            "dead timers were processed: {} events for {} messages and {} requests",
+            report.events_processed,
+            report.messages_sent,
+            report.requests_injected
+        );
+        assert!(settle < Duration::from_millis(500), "settling waited out dead timers: {settle:?}");
+    }
+
+    #[test]
+    fn pruning_removes_only_dead_timers() {
+        let node = OpenCubeNode::build_all(protocol(2)).swap_remove(0);
+        let mut slots = vec![Slot {
+            idx: 0,
+            ns: 0,
+            ns_offset: 0,
+            node,
+            crashed: false,
+            recovered_ever: false,
+            timers: TimerRow::new(),
+            next_gen: 0,
+            lease: 0,
+        }];
+        let (tx, _rx) = unbounded();
+        let mut post: Post<oc_algo::Msg> = Post::new(0, vec![tx]);
+        let at = Instant::now() + Duration::from_secs(60);
+        let to = NodeId::new(1);
+        let arm = |slots: &mut [Slot<OpenCubeNode>], post: &mut Post<_>, generation: u64| {
+            slots[0].timers.arm(1, generation);
+            post.push(at, Targeted { to, cmd: NodeCmd::Timer(1 | (generation << GEN_SHIFT)) });
+        };
+        // Each re-arming of timer 1 supersedes the earlier entries; a
+        // lease entry rides along and must survive.
+        post.push(at, Targeted { to, cmd: NodeCmd::ExitLease { lease: 1 } });
+        for generation in 1..=100 {
+            arm(&mut slots, &mut post, generation);
+        }
+        post.prune(&slots);
+        assert_eq!(post.heap.len(), 2, "the live arming and the lease remain");
+        assert_eq!(post.pruned_len, 2);
+        arm(&mut slots, &mut post, 101);
+        post.prune(&slots);
+        assert_eq!(post.heap.len(), 3, "a dead entry waits until the heap has doubled");
+        arm(&mut slots, &mut post, 102);
+        post.prune(&slots);
+        assert_eq!(post.heap.len(), 2);
     }
 }

@@ -25,10 +25,11 @@ use crate::histogram::LatencySummary;
 pub struct RuntimeReport {
     /// Completed critical sections.
     pub cs_entries: u64,
-    /// Protocol messages sent through the router.
+    /// Protocol messages sent (before loss and duplication).
     pub messages_sent: u64,
-    /// Commands processed across all workers (deliveries, timers,
-    /// acquisitions, leases, crashes) — the runtime's events/s numerator.
+    /// Commands processed across all workers (deliveries, fired timers,
+    /// acquisitions, leases, crashes; cancelled or superseded timers are
+    /// skipped and not counted) — the runtime's events/s numerator.
     pub events_processed: u64,
     /// Requests issued (`acquire` calls plus scheduled arrivals).
     pub requests_injected: u64,

@@ -42,8 +42,8 @@ impl RequestId {
         self.0
     }
 
-    /// Rebuilds an id from its raw index (crate-internal: ids cross the
-    /// router as plain `u64`s).
+    /// Rebuilds an id from its raw index (crate-internal: ids cross
+    /// worker mailboxes and delay heaps as plain `u64`s).
     pub(crate) fn from_index(index: u64) -> Self {
         RequestId(index)
     }

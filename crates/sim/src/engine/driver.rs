@@ -21,8 +21,8 @@ use crate::{
 ///
 /// Implementations decide what "send" or "arm a timer" physically means:
 /// the simulator files events into its calendar queue at virtual
-/// timestamps; the threaded runtime hands them to its router thread with
-/// real-time deadlines.
+/// timestamps; the threaded runtime files them into the destination
+/// worker's delay heap with real-time deadlines.
 pub trait ActionSink<M> {
     /// `from` sends `msg` to `to` over the (unreliable-to-crashes,
     /// bounded-delay) network.

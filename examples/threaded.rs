@@ -16,7 +16,7 @@ use opencube::topology::NodeId;
 
 fn main() {
     let n = 16;
-    // δ = 40 ticks × 50µs/tick = 2ms ≥ the router's 1ms max delay.
+    // δ = 40 ticks × 50µs/tick = 2ms ≥ the 1ms max network delay.
     let config = Config::new(n, SimDuration::from_ticks(40), SimDuration::from_ticks(20))
         .with_contention_slack(SimDuration::from_ticks(50_000));
     let rt = Runtime::start(

@@ -89,16 +89,15 @@ fn run_sim(
     SimOutcome { cs_entries: world.metrics().cs_entries, census: world.live_token_census() }
 }
 
-fn runtime_config(batch: usize, routers: usize) -> RuntimeConfig {
+fn runtime_config(batch: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers: 8,
         tick: TICK,
-        // δ = 40 ticks × 5µs = 200µs ≥ the router's max delay.
+        // δ = 40 ticks × 5µs = 200µs ≥ the max network delay.
         max_network_delay: Duration::from_micros(100),
         cs_duration: TICK * CS as u32,
         seed: 7,
         batch,
-        routers,
         ..RuntimeConfig::default()
     }
 }
@@ -109,7 +108,7 @@ fn run_runtime(
     plan: &FailurePlan,
     hardening: Hardening,
 ) -> RuntimeReport {
-    run_runtime_cfg(n, schedule, plan, hardening, 0, 0)
+    run_runtime_cfg(n, schedule, plan, hardening, 0)
 }
 
 fn run_runtime_cfg(
@@ -118,10 +117,9 @@ fn run_runtime_cfg(
     plan: &FailurePlan,
     hardening: Hardening,
     batch: usize,
-    routers: usize,
 ) -> RuntimeReport {
     let rt = Runtime::start(
-        runtime_config(batch, routers),
+        runtime_config(batch),
         OpenCubeNode::build_all(protocol_config(n, hardening)),
     );
     let ids = rt.schedule_workload(schedule);
@@ -222,9 +220,8 @@ fn hardened_conformance_n64() {
 
 /// The batched hot path is a performance refactor, not a semantic one:
 /// the same scheduled workload must produce the same entry count, the
-/// same terminal census, and clean verdicts whether workers drain one
-/// command at a time (`batch: 1`, single router) or in bursts through
-/// sharded routers.
+/// same terminal census, and clean verdicts whether workers drain their
+/// mailboxes one command at a time (`batch: 1`) or in bursts.
 #[test]
 fn batched_and_unbatched_runtimes_agree() {
     let n = 16;
@@ -233,18 +230,18 @@ fn batched_and_unbatched_runtimes_agree() {
     let plan = FailurePlan::none();
     let sim = run_sim(n, &schedule, &plan, 42, Hardening::None);
 
-    for (batch, routers) in [(1, 1), (0, 0), (256, 4)] {
-        let report = run_runtime_cfg(n, &schedule, &plan, Hardening::None, batch, routers);
+    for batch in [1, 0, 256] {
+        let report = run_runtime_cfg(n, &schedule, &plan, Hardening::None, batch);
         assert!(
             report.is_clean(),
-            "batch={batch} routers={routers}: safety={:?} liveness={:?}",
+            "batch={batch}: safety={:?} liveness={:?}",
             report.safety.violations(),
             report.liveness.violations()
         );
-        assert!(report.drained, "batch={batch} routers={routers}");
-        assert_eq!(report.cs_entries, sim.cs_entries, "batch={batch} routers={routers}");
-        assert_eq!(report.requests_abandoned, 0, "batch={batch} routers={routers}");
-        assert_eq!(report.terminal_token_census, sim.census, "batch={batch} routers={routers}");
+        assert!(report.drained, "batch={batch}");
+        assert_eq!(report.cs_entries, sim.cs_entries, "batch={batch}");
+        assert_eq!(report.requests_abandoned, 0, "batch={batch}");
+        assert_eq!(report.terminal_token_census, sim.census, "batch={batch}");
     }
 }
 
@@ -252,7 +249,7 @@ fn batched_and_unbatched_runtimes_agree() {
 /// pool must each serve exactly what one simulated cube serves, judged
 /// namespace-by-namespace by the unmodified oracles. Requests fan out
 /// round-robin across namespaces (concurrent between tenants, ordered
-/// within each), so the shared routers and workers interleave tenant
+/// within each), so the shared workers interleave tenant
 /// traffic while every per-namespace verdict stays clean.
 #[test]
 fn multi_namespace_runtime_matches_k_independent_sims() {
@@ -264,7 +261,7 @@ fn multi_namespace_runtime_matches_k_independent_sims() {
     assert_eq!(sim.census, 1);
 
     let rt = Runtime::start_multi(
-        runtime_config(0, 2),
+        runtime_config(0),
         (0..k).map(|_| OpenCubeNode::build_all(protocol_config(n, Hardening::None))).collect(),
     );
     assert_eq!(rt.namespaces(), k);
@@ -309,9 +306,9 @@ fn multi_namespace_runtime_matches_k_independent_sims() {
 fn saturated_tenants_stay_clean_batched_and_unbatched() {
     let n = 4;
     let k = 16;
-    for (batch, routers) in [(0, 0), (1, 1)] {
+    for batch in [0, 1] {
         let rt = Runtime::start_multi(
-            runtime_config(batch, routers),
+            runtime_config(batch),
             (0..k).map(|_| OpenCubeNode::build_all(protocol_config(n, Hardening::None))).collect(),
         );
         let deadline = std::time::Instant::now() + Duration::from_millis(300);
@@ -343,7 +340,7 @@ fn saturated_tenants_stay_clean_batched_and_unbatched() {
         let report = rt.shutdown();
         assert!(
             report.is_clean(),
-            "batch={batch} routers={routers}: safety={:?} liveness={:?}",
+            "batch={batch}: safety={:?} liveness={:?}",
             report.safety.violations(),
             report.liveness.violations()
         );
